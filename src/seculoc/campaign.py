@@ -35,7 +35,6 @@ from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
 from .pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
-METHOD_NAMES = ("proposed", "no_detection", "perfect_detection", "wls_glrt")
 _DETECTING = ("proposed", "wls_glrt")
 
 # Stream tags keep deployment sampling and trial noise on disjoint substreams.
@@ -53,22 +52,60 @@ _COLLINEARITY_RTOL = 1e-6
 _N_FIELDS = 11
 
 
+# One function per method: (cfg, scene, attack_set, mset) -> (position, flagged
+# anchors or None, SecureLocResult or None). Each looks its entry point up as a
+# module global when called, so a wrapper patched into this module sees every trial.
+def _proposed(cfg, scene, attack_set, mset):
+    res = locate_secure(scene.anchors, mset, cfg.tau)
+    return res.x_final, res.attacker_set, res
+
+
+def _no_detection(cfg, scene, attack_set, mset):
+    return locate_no_detection(scene.anchors, mset), None, None
+
+
+def _perfect_detection(cfg, scene, attack_set, mset):
+    return locate_perfect_detection(scene.anchors, mset, attack_set), None, None
+
+
+def _wls_glrt(cfg, scene, attack_set, mset):
+    x_hat = wls_locate(scene.anchors, reduce_samples(mset))
+    glrt_cfg = GlrtConfig(p_fa=cfg.p_fa, sigma=cfg.sigma, k_samples=cfg.k_samples)
+    return x_hat, glrt_detect(x_hat, mset, scene.anchors, glrt_cfg), None
+
+
+_METHODS = {
+    "proposed": _proposed,
+    "no_detection": _no_detection,
+    "perfect_detection": _perfect_detection,
+    "wls_glrt": _wls_glrt,
+}
+METHOD_NAMES = tuple(_METHODS)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs of one campaign; defaults are the desk-scale operating point."""
+    """Knobs of one campaign; defaults are the desk-scale operating point.
 
-    region_side: float = 20.0
-    n_anchors: int = 4
-    n_deployments: int = 100
-    n_corruptions: int = 20
-    k_samples: int = 10
-    sigma: float = 1.0
-    tau: float = 0.3
-    delta_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0)
-    attackers_per_trial: int = 1
-    seed: int = 0
-    methods: tuple[str, ...] = ("proposed",)
-    p_fa: float = 0.05
+    The CLI derives one flag and one INI key per field, typed by the default
+    and documented by the field's ``help`` metadata.
+    """
+
+    region_side: float = field(default=20.0, metadata={"help": "side of the square region in meters"})
+    n_anchors: int = field(default=4, metadata={"help": "number of anchors"})
+    n_deployments: int = field(default=100, metadata={"help": "random deployments"})
+    n_corruptions: int = field(default=20, metadata={"help": "noise repeats per attacker assignment"})
+    k_samples: int = field(default=10, metadata={"help": "range samples per anchor"})
+    sigma: float = field(default=1.0, metadata={"help": "per-sample noise std in meters"})
+    tau: float = field(default=0.3, metadata={"help": "relative-error detection threshold in [0, 1]"})
+    delta_grid: tuple[float, ...] = field(default=(0.0, 5.0, 10.0, 15.0), metadata={
+        "help": "comma-separated attack intensities in meters; '...' continues the "
+                "progression (0,5,10,15 or 0,1,...,15)"})
+    attackers_per_trial: int = field(default=1, metadata={"help": "attackers per trial (1 or 2)"})
+    seed: int = field(default=0, metadata={"help": "campaign seed"})
+    methods: tuple[str, ...] = field(default=("proposed",), metadata={
+        "help": f"comma-separated subset of {','.join(METHOD_NAMES)}"})
+    p_fa: float = field(default=0.05, metadata={"help": "GLRT false-alarm target"})
 
     def __post_init__(self):
         object.__setattr__(self, "delta_grid", tuple(float(v) for v in self.delta_grid))
@@ -206,38 +243,11 @@ def _threshold_event(cfg, det_outcome, attack_set) -> bool:
 
 def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
     """Run one method on one measurement set and fold results into a cell."""
-    loc_errors = (UnlocalizableError, DegenerateGeometryError, NoRootError)
-    detected = None
-    res = None
-    if method == "proposed":
-        try:
-            res = locate_secure(scene.anchors, mset, cfg.tau)
-        except loc_errors:
-            cell[_EXCLUDED] += 1
-            return
-        x_hat = res.x_final
-        detected = res.attacker_set
-    elif method == "no_detection":
-        try:
-            x_hat = locate_no_detection(scene.anchors, mset)
-        except loc_errors:
-            cell[_EXCLUDED] += 1
-            return
-    elif method == "perfect_detection":
-        try:
-            x_hat = locate_perfect_detection(scene.anchors, mset, attack_set)
-        except loc_errors:
-            cell[_EXCLUDED] += 1
-            return
-    else:  # wls_glrt
-        d_bar = reduce_samples(mset)
-        try:
-            x_hat = wls_locate(scene.anchors, d_bar)
-        except loc_errors:
-            cell[_EXCLUDED] += 1
-            return
-        glrt_cfg = GlrtConfig(p_fa=cfg.p_fa, sigma=cfg.sigma, k_samples=cfg.k_samples)
-        detected = glrt_detect(x_hat, mset, scene.anchors, glrt_cfg)
+    try:
+        x_hat, detected, res = _METHODS[method](cfg, scene, attack_set, mset)
+    except (UnlocalizableError, DegenerateGeometryError, NoRootError):
+        cell[_EXCLUDED] += 1
+        return
 
     diff = x_hat - scene.target
     cell[_SQERR] += float(diff @ diff)
@@ -249,7 +259,7 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
             cell[_HITS] += detected == attack_set
         cell[_FAS] += bool(detected - attack_set)
     if (
-        method == "proposed"
+        res is not None
         and cfg.attackers_per_trial == 1
         and res.detection is not None
         and not (attack_set & res.detection.geometric_flags)

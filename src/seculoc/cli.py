@@ -14,26 +14,22 @@ import sys
 
 from .campaign import CampaignConfig, METHOD_NAMES, emit_csv, run_campaign
 
-_PRESETS = {
-    "rmse": {
-        "methods": ("proposed", "no_detection", "perfect_detection"),
-        "k_samples": 10,
-    },
-    "detection": {"methods": ("proposed",), "k_samples": 10},
-    "bounds": {"methods": ("proposed",), "k_samples": 1},
-    "two-attackers": {
-        "methods": ("proposed", "wls_glrt"),
-        "n_anchors": 6,
-        "attackers_per_trial": 2,
-        "k_samples": 10,
-    },
-    "compare": {"methods": ("proposed", "wls_glrt"), "k_samples": 10},
+# Subcommand -> (description, preset campaign values).
+_SUBCOMMANDS = {
+    "rmse": ("localization error of the secure pipeline and its benchmarks",
+             {"methods": ("proposed", "no_detection", "perfect_detection"), "k_samples": 10}),
+    "detection": ("attacker detection and false-alarm rates of the secure pipeline",
+                  {"methods": ("proposed",), "k_samples": 10}),
+    "bounds": ("empirical detection probability against the analytic bounds (single sample)",
+               {"methods": ("proposed",), "k_samples": 1}),
+    "two-attackers": ("six-anchor campaign with every anchor pair corrupted in turn",
+                      {"methods": ("proposed", "wls_glrt"), "n_anchors": 6,
+                       "attackers_per_trial": 2, "k_samples": 10}),
+    "compare": ("secure pipeline head to head with the WLS+GLRT baseline",
+                {"methods": ("proposed", "wls_glrt"), "k_samples": 10}),
 }
 
 _FULL_SCALE = {"n_deployments": 500, "n_corruptions": 100}
-
-_INT_KEYS = {"n_anchors", "n_deployments", "n_corruptions", "k_samples", "attackers_per_trial", "seed"}
-_FLOAT_KEYS = {"region_side", "sigma", "tau", "p_fa"}
 
 
 def _parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -74,6 +70,16 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return methods
 
 
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
+# Fields read by a dedicated parser; every other field takes the type of its default.
+_PARSERS = {"delta_grid": _parse_delta_grid, "methods": _parse_methods}
+
+
+def _parse_field(name: str, raw):
+    """Campaign value of field ``name`` from its INI text or flag value."""
+    return _PARSERS.get(name, type(_DEFAULTS[name]))(raw)
+
+
 def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -81,37 +87,20 @@ def _read_config_file(path: str) -> dict:
         raise ValueError(f"config file {path!r} not found or unreadable")
     if "campaign" not in parser:
         raise ValueError(f"config file {path!r} needs a [campaign] section")
-    section = parser["campaign"]
     values: dict = {}
-    for key, raw in section.items():
-        if key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        elif key == "delta_grid":
-            values[key] = _parse_delta_grid(raw)
-        elif key == "methods":
-            values[key] = _parse_methods(raw)
-        else:
+    for key, raw in parser["campaign"].items():
+        if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r} in {path!r}")
+        values[key] = _parse_field(key, raw)
     return values
 
 
 def _add_campaign_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--region-side", type=float, help="side of the square region in meters")
-    sp.add_argument("--n-anchors", type=int, help="number of anchors")
-    sp.add_argument("--n-deployments", type=int, help="random deployments")
-    sp.add_argument("--n-corruptions", type=int, help="noise repeats per attacker assignment")
-    sp.add_argument("--k-samples", type=int, help="range samples per anchor")
-    sp.add_argument("--sigma", type=float, help="per-sample noise std in meters")
-    sp.add_argument("--tau", type=float, help="relative-error detection threshold in [0, 1]")
-    sp.add_argument("--delta-grid",
-                    help="comma-separated attack intensities in meters; '...' continues the "
-                         "progression (0,5,10,15 or 0,1,...,15)")
-    sp.add_argument("--attackers-per-trial", type=int, choices=(1, 2))
-    sp.add_argument("--seed", type=int, help="campaign seed")
-    sp.add_argument("--methods", help=f"comma-separated subset of {','.join(METHOD_NAMES)}")
-    sp.add_argument("--p-fa", type=float, help="GLRT false-alarm target")
+    for f in dataclasses.fields(CampaignConfig):
+        # _build_config parses grids and method lists, so a bad one is a
+        # configuration error rather than an argparse usage error.
+        kind = None if f.name in _PARSERS else type(f.default)
+        sp.add_argument("--" + f.name.replace("_", "-"), type=kind, help=f.metadata["help"])
     sp.add_argument("--config", help="INI file with a [campaign] section supplying defaults")
     sp.add_argument("--out", help="CSV output path (default <subcommand>.csv)")
     sp.add_argument("--threads", type=int, default=1, help="worker processes (results are identical)")
@@ -120,29 +109,16 @@ def _add_campaign_flags(sp: argparse.ArgumentParser):
 
 
 def _build_config(command: str, args: argparse.Namespace) -> CampaignConfig:
-    values = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
-    values.update(_PRESETS[command])
+    values = dict(_DEFAULTS)
+    values.update(_SUBCOMMANDS[command][1])
     if args.config:
         values.update(_read_config_file(args.config))
     if args.full_scale:
         values.update(_FULL_SCALE)
-    flag_map = {
-        "region_side": args.region_side,
-        "n_anchors": args.n_anchors,
-        "n_deployments": args.n_deployments,
-        "n_corruptions": args.n_corruptions,
-        "k_samples": args.k_samples,
-        "sigma": args.sigma,
-        "tau": args.tau,
-        "attackers_per_trial": args.attackers_per_trial,
-        "seed": args.seed,
-        "p_fa": args.p_fa,
-    }
-    values.update({k: v for k, v in flag_map.items() if v is not None})
-    if args.delta_grid is not None:
-        values["delta_grid"] = _parse_delta_grid(args.delta_grid)
-    if args.methods is not None:
-        values["methods"] = _parse_methods(args.methods)
+    for name in _DEFAULTS:
+        flag = getattr(args, name)
+        if flag is not None:
+            values[name] = _parse_field(name, flag)
     if command == "bounds" and values["k_samples"] != 1:
         print("bounds campaigns force k_samples=1 to match the analytic regime", file=sys.stderr)
         values["k_samples"] = 1
@@ -159,24 +135,19 @@ def _summarize(stats) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seculoc",
         description="Monte Carlo campaigns for secure localization under enlargement attacks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "rmse": "localization error of the secure pipeline and its benchmarks",
-        "detection": "attacker detection and false-alarm rates of the secure pipeline",
-        "bounds": "empirical detection probability against the analytic bounds (single sample)",
-        "two-attackers": "six-anchor campaign with every anchor pair corrupted in turn",
-        "compare": "secure pipeline head to head with the WLS+GLRT baseline",
-    }
-    for name, desc in descriptions.items():
-        sp = sub.add_parser(name, help=desc, description=desc)
-        _add_campaign_flags(sp)
+    for name, (desc, _) in _SUBCOMMANDS.items():
+        _add_campaign_flags(sub.add_parser(name, help=desc, description=desc))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _build_config(args.command, args)
         cfg.validate()

@@ -278,6 +278,14 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     return np.abs(d - est) / med
 
 
+def _check_parameters(tau: float, q: int) -> None:
+    """Reject a threshold outside [0, 1] or a network that is not planar."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    if q != 2:
+        raise ValueError("only planar (q = 2) networks are supported")
+
+
 def detect(anchors, d, tau: float, q: int = 2) -> DetectionOutcome:
     """Full detection stage: geometric flags, honest points, thresholded removal.
 
@@ -287,10 +295,7 @@ def detect(anchors, d, tau: float, q: int = 2) -> DetectionOutcome:
     not revised between removals. If flag removal alone leaves exactly q+1
     anchors the stage concludes immediately with the flagged set.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    if q != 2:
-        raise ValueError("only planar (q = 2) networks are supported")
+    _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
     if anchors.shape[0] < q + 2:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, NoRootError
 
-# Constraint y' Q y + 2 l' y = 0 encodes alpha = ||x||^2.
+# The constraint alpha = ||x||^2 reads y' Q y - y[2] = 0 with this Q.
 CONSTRAINT_QUAD = np.diag([1.0, 1.0, 0.0])
-CONSTRAINT_LIN = np.array([0.0, 0.0, -0.5])
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_ITER = 100
@@ -55,18 +54,6 @@ class GtrsSystem:
     @property
     def n_anchors(self) -> int:
         return self.design.shape[0]
-
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.weights))
-
-    @property
-    def constraint_quad(self) -> np.ndarray:
-        return CONSTRAINT_QUAD
-
-    @property
-    def constraint_lin(self) -> np.ndarray:
-        return CONSTRAINT_LIN
 
     def gram(self) -> np.ndarray:
         """Weighted Gram matrix of the design."""

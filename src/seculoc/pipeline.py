@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionOutcome, _detect_from_graph, build_intersection_graph
+from .detection import (
+    DetectionOutcome, _check_parameters, _detect_from_graph, build_intersection_graph,
+)
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .gtrs import build_system, solve
 from .measurement import MeasurementSet, reduce_samples
@@ -83,48 +85,34 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
     cost ties. Raises UnlocalizableError when fewer than q+1 usable anchors
     or honest candidate points remain at any stage.
     """
+    _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
     if anchors.shape[0] < q + 2:
         raise UnlocalizableError("secure localization needs at least q + 2 anchors")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    n = anchors.shape[0]
     d = reduce_samples(m)
     graph = build_intersection_graph(anchors, d)
+    outcome = _detect_from_graph(anchors, d, tau, q, graph)
+    attackers = outcome.attacker_set
+    survivors = sorted(set(range(anchors.shape[0])) - attackers)
 
-    # Geometric pre-filter with the minimum-network guard.
-    active = set(range(n))
-    attackers: set[int] = set()
-    tripped = False
-    for i in sorted(graph.geometric_flags):
-        if len(active) <= q + 1:
-            break
-        attackers.add(i)
-        active.discard(i)
-        if len(active) == q + 1:
-            tripped = True
-            break
-
-    if tripped:
-        x_gtrs = _gtrs_estimate(anchors, d, active)
+    if outcome.x_init is None:
+        # The pre-filter alone left q+1 anchors: no initial estimate to weigh against.
+        x_gtrs = _gtrs_estimate(anchors, d, survivors)
         delta2 = estimate_attack_intensity(x_gtrs, m, anchors)
         f2 = cost(x_gtrs, delta2, m, anchors)
         return SecureLocResult(
             x_final=x_gtrs,
             x_init=None,
             x_gtrs=x_gtrs,
-            attacker_set=frozenset(attackers),
+            attacker_set=attackers,
             delta_hat=delta2,
             costs=(None, f2),
             chose_gtrs=True,
         )
 
-    outcome = _detect_from_graph(anchors, d, tau, q, graph)
     x_init = outcome.x_init
     delta1 = estimate_attack_intensity(x_init, m, anchors)
     f1 = cost(x_init, delta1, m, anchors)
-    attackers = set(outcome.attacker_set)
-    survivors = sorted(set(range(n)) - attackers)
 
     try:
         x_gtrs = _gtrs_estimate(anchors, d, survivors)
@@ -133,7 +121,7 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
             x_final=x_init,
             x_init=x_init,
             x_gtrs=None,
-            attacker_set=frozenset(attackers),
+            attacker_set=attackers,
             delta_hat=delta1,
             costs=(f1, None),
             chose_gtrs=False,
@@ -147,7 +135,7 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
         x_final=x_gtrs if chose_gtrs else x_init,
         x_init=x_init,
         x_gtrs=x_gtrs,
-        attacker_set=frozenset(attackers),
+        attacker_set=attackers,
         delta_hat=delta2 if chose_gtrs else delta1,
         costs=(f1, f2),
         chose_gtrs=chose_gtrs,

@@ -94,6 +94,24 @@ class TestRunCampaign:
         assert a.rows == b.rows
         assert a.resampled_deployments == b.resampled_deployments
 
+    def test_methods_call_entry_points_through_module_globals(self, monkeypatch):
+        import seculoc.campaign as campaign
+
+        names = ("locate_secure", "locate_no_detection", "locate_perfect_detection",
+                 "wls_locate", "glrt_detect")
+        calls = {}
+        for name in names:
+            def counted(*args, _f=getattr(campaign, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(campaign, name, counted)
+        cfg = CampaignConfig(
+            methods=campaign.METHOD_NAMES, delta_grid=(5.0,), n_deployments=1, n_corruptions=1
+        )
+        run_campaign(cfg)
+        assert sorted(calls) == sorted(names)
+
     def test_benchmark_ordering_under_strong_attack(self):
         cfg = CampaignConfig(
             methods=("proposed", "no_detection", "perfect_detection"),

@@ -1,12 +1,50 @@
 """Tests for the seculoc command-line interface."""
 
 import csv
+import dataclasses
 
 import pytest
 
-from seculoc.cli import _build_config, main
+from seculoc.campaign import CampaignConfig
+from seculoc.cli import _build_config, _parser, main
 
 FAST = ["--n-deployments", "3", "--n-corruptions", "2", "--seed", "5"]
+
+# One non-default, non-preset value per campaign field, as INI/flag text and as parsed.
+FIELD_TEXT = {
+    "region_side": "35.5", "n_anchors": "6", "n_deployments": "7", "n_corruptions": "3",
+    "k_samples": "4", "sigma": "0.25", "tau": "0.45", "delta_grid": "0,2,...,6",
+    "attackers_per_trial": "2", "seed": "11", "methods": "wls_glrt,no_detection", "p_fa": "0.1",
+}
+FIELD_VALUE = {
+    "region_side": 35.5, "n_anchors": 6, "n_deployments": 7, "n_corruptions": 3,
+    "k_samples": 4, "sigma": 0.25, "tau": 0.45, "delta_grid": (0.0, 2.0, 4.0, 6.0),
+    "attackers_per_trial": 2, "seed": 11, "methods": ("wls_glrt", "no_detection"), "p_fa": 0.1,
+}
+
+
+class Args:
+    """Parsed-flag stand-in: every flag unset unless given as a keyword."""
+
+    region_side = None
+    n_anchors = None
+    n_deployments = None
+    n_corruptions = None
+    k_samples = None
+    sigma = None
+    tau = None
+    delta_grid = None
+    attackers_per_trial = None
+    seed = None
+    methods = None
+    p_fa = None
+    config = None
+    out = None
+    threads = 1
+    full_scale = False
+
+    def __init__(self, **flags):
+        self.__dict__.update(flags)
 
 
 def run(args):
@@ -88,51 +126,35 @@ class TestConfigHandling:
         ini = tmp_path / "c.ini"
         ini.write_text("[campaign]\nn_anchors = 5\nsigma = 2.0\ndelta_grid = 1,2\n")
 
-        class Args:
-            region_side = None
-            n_anchors = None
-            n_deployments = None
-            n_corruptions = None
-            k_samples = None
-            sigma = 0.5
-            tau = None
-            delta_grid = None
-            attackers_per_trial = None
-            seed = None
-            methods = None
-            p_fa = None
-            config = str(ini)
-            out = None
-            threads = 1
-            full_scale = False
-
-        cfg = _build_config("detection", Args())
+        cfg = _build_config("detection", Args(sigma=0.5, config=str(ini)))
         assert cfg.n_anchors == 5       # from file
         assert cfg.sigma == 0.5         # flag wins over file
         assert cfg.delta_grid == (1.0, 2.0)
 
     def test_full_scale_counts(self):
-        class Args:
-            region_side = None
-            n_anchors = None
-            n_deployments = None
-            n_corruptions = None
-            k_samples = None
-            sigma = None
-            tau = None
-            delta_grid = None
-            attackers_per_trial = None
-            seed = None
-            methods = None
-            p_fa = None
-            config = None
-            out = None
-            threads = 1
-            full_scale = True
-
-        cfg = _build_config("rmse", Args())
+        cfg = _build_config("rmse", Args(full_scale=True))
         assert cfg.n_deployments == 500
         assert cfg.n_corruptions == 100
+
+    def test_every_field_from_ini_and_flag(self, tmp_path):
+        assert set(FIELD_TEXT) == {f.name for f in dataclasses.fields(CampaignConfig)}
+        ini = tmp_path / "c.ini"
+        ini.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in FIELD_TEXT.items()))
+        from_ini = _build_config("rmse", Args(config=str(ini)))
+        argv = ["rmse"]
+        for name, text in FIELD_TEXT.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        from_flags = _build_config("rmse", _parser().parse_args(argv))
+        defaults = _build_config("rmse", Args())
+        for name, want in FIELD_VALUE.items():
+            assert getattr(from_ini, name) == want, name
+            assert getattr(from_flags, name) == want, name
+            assert getattr(defaults, name) != want, name
+
+    def test_attackers_per_trial_out_of_range_exits_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--attackers-per-trial", "3", "--out", str(out), *FAST]) == 2
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         ini = tmp_path / "c.ini"

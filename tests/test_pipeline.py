@@ -194,6 +194,12 @@ class TestLocateSecure:
         with pytest.raises(UnlocalizableError):
             locate_secure(ANCHORS[:3], noiseless(), 0.3)
 
+    def test_rejects_non_planar_network(self):
+        sc = random_scene(np.random.default_rng(10), n=5)
+        m = generate_measurements(sc, AttackSpec(), 1.0, 10, np.random.default_rng(11))
+        with pytest.raises(ValueError, match="planar"):
+            locate_secure(sc.anchors, m, 0.3, q=3)
+
 
 class TestBenchmarks:
     def test_benign_benchmarks_agree_with_gtrs_branch(self):
