@@ -12,7 +12,7 @@ Run:  python demos/01_circle_detection_walkthrough.py
 
 import numpy as np
 
-from seculoc.detection import build_intersection_graph, detect, select_honest_points, wcm_estimate
+from seculoc.detection import build_intersection_graph, detect
 from seculoc.measurement import AttackSpec, Scene, generate_measurements, reduce_samples
 
 rng = np.random.default_rng(7)
@@ -46,17 +46,14 @@ else:
     print("no circle is impossibly large on its own; clustering must decide")
 
 print("\n=== honest cluster and initial estimate ===")
-n_pairs_lost = len(graph.disjoint_pairs)
-target_size = scene.n_anchors - n_pairs_lost if n_pairs_lost else scene.n_anchors - 1
-honest = select_honest_points(graph, target_size)
-for pair, p in honest.selected:
+outcome = detect(scene.anchors, d, tau=0.3)
+for pair, p in outcome.honest.selected:
     print(f"kept point {np.round(p, 2)} from pair {pair}")
-x_init = wcm_estimate(honest, d)
+x_init = outcome.x_init
 print(f"inverse-distance weighted center: {np.round(x_init, 3)} "
       f"(true target {scene.target}, off by {np.linalg.norm(x_init - scene.target):.2f} m)")
 
 print("\n=== thresholded verdict ===")
-outcome = detect(scene.anchors, d, tau=0.3)
 print(f"relative errors: {np.round(outcome.relative_errors, 3)} (threshold 0.3)")
 print(f"flagged anchors: {set(outcome.attacker_set) or '{}'}")
 print("correct!" if outcome.attacker_set == frozenset({attacker}) else "missed the attacker")

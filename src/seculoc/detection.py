@@ -152,11 +152,10 @@ def _subset_templates(n_pairs: int, size: int):
     return combos, signs
 
 
-def _compactness_of(sel: np.ndarray) -> np.ndarray:
-    """Pairwise-distance sums over the trailing (size, 2) axes."""
-    size = sel.shape[-2]
-    iu, jv = np.triu_indices(size, 1)
-    return np.linalg.norm(sel[..., iu, :] - sel[..., jv, :], axis=-1).sum(axis=-1)
+def _candidate_distances(pts: np.ndarray):
+    """Flatten (n_pairs, 2, 2) candidates to index 2*pair + sign, with all pairwise distances."""
+    flat = pts.reshape(-1, 2)
+    return flat, np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
 
 
 def _coord_key(points: np.ndarray) -> tuple:
@@ -164,27 +163,22 @@ def _coord_key(points: np.ndarray) -> tuple:
 
 
 def _select_exhaustive(pair_ids, pts, target_size):
+    flat, dist = _candidate_distances(pts)
     combos, signs = _subset_templates(len(pair_ids), target_size)
-    sel = pts[combos[:, None, :], signs[None, :, :]]  # (n_combos, n_signs, size, 2)
-    comp = _compactness_of(sel)
-    best = comp.min()
-    ties = np.argwhere(comp == best)
-    if len(ties) > 1:
-        # Deterministic tie-break on the sorted coordinate list.
-        ci, si = min(ties, key=lambda t: _coord_key(sel[t[0], t[1]]))
-    else:
-        ci, si = ties[0]
-    chosen_pairs = combos[ci]
-    chosen_signs = signs[si]
-    return [(pair_ids[p], pts[p, s].copy()) for p, s in zip(chosen_pairs, chosen_signs)]
+    idx = 2 * combos[:, None, :] + signs[None, :, :]  # (n_combos, n_signs, size)
+    iu, jv = np.triu_indices(target_size, 1)
+    comp = dist[idx[..., iu], idx[..., jv]].sum(axis=-1)
+    ties = np.argwhere(comp == comp.min())
+    # Deterministic tie-break on the sorted coordinate list.
+    chosen = min((idx[ci, si] for ci, si in ties), key=lambda sel: _coord_key(flat[sel]))
+    return [(pair_ids[c // 2], flat[c].copy()) for c in chosen]
 
 
 def _select_greedy(pair_ids, pts, target_size):
     """Greedy seeding from the closest cross-pair candidates, then 1-swap polish."""
     n_pairs = len(pair_ids)
-    flat = pts.reshape(-1, 2)  # candidate 2*p + s belongs to pair p
+    flat, dist = _candidate_distances(pts)  # candidate 2*p + s belongs to pair p
     m = flat.shape[0]
-    dist = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
     same_pair = np.repeat(np.arange(n_pairs), 2)
     blocked = same_pair[:, None] == same_pair[None, :]
     masked = np.where(blocked, np.inf, dist)
@@ -325,7 +319,9 @@ def _detect_from_graph(anchors, d, tau, q, graph) -> DetectionOutcome:
 
     restricted = graph.restricted_to(active)
     disjoint = restricted.disjoint_pairs
-    target = len(active) - len(disjoint) if disjoint else len(active) - 1
+    # Never ask for fewer points than fix a position: with three honest
+    # anchors left, their three mutually intersecting pairs still supply them.
+    target = max(q + 1, len(active) - len(disjoint)) if disjoint else len(active) - 1
     honest = select_honest_points(restricted, target)
 
     x_init = wcm_estimate(honest, d)

@@ -5,9 +5,11 @@ variable y = (x, alpha) with alpha tied to ||x||^2 by one quadratic equality.
 A quadratic objective over a single quadratic constraint admits an exact
 solution: the stationarity system is linear in y for each multiplier value,
 and the constraint residual of that stationary point is strictly decreasing
-in the multiplier over an interval fixed by a generalized eigenvalue. Finding
-the multiplier is therefore a one-dimensional root problem, solved here by
-plain bisection on closed-form 3x3 solves.
+in the multiplier. Centring the anchors on their weighted centroid makes the
+lifted Gram matrix block-diagonal, so that residual becomes an explicit
+two-term secular function of the multiplier (Beck, Stoica & Li, 2008) whose
+root is found by plain bisection. The solver needs the standard (-2a, 1)
+design that ``build_system`` produces.
 """
 
 from __future__ import annotations
@@ -120,96 +122,65 @@ def objective(s: GtrsSystem, y) -> float:
     return float(np.sum(s.weights * r * r))
 
 
-def _solve3(m, v):
-    """Closed-form 3x3 solve (Cramer); returns None on an exactly singular matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    co_a = e * i - f * h
-    co_b = d * i - f * g
-    co_c = d * h - e * g
-    det = a * co_a - b * co_b + c * co_c
-    if det == 0.0:
-        return None
-    v0, v1, v2 = v
-    x0 = (v0 * co_a - b * (v1 * i - f * v2) + c * (v1 * h - e * v2)) / det
-    x1 = (a * (v1 * i - f * v2) - v0 * co_b + c * (d * v2 - v1 * g)) / det
-    x2 = (a * (e * v2 - v1 * h) - b * (d * v2 - v1 * g) + v0 * co_c) / det
-    return (x0, x1, x2)
-
-
-def _centered(s: GtrsSystem) -> tuple[GtrsSystem, np.ndarray]:
-    """Translate anchors to their centroid for numerical conditioning.
-
-    Shifting coordinates leaves the objective and the constraint value
-    unchanged (and with them the optimal multiplier), but keeps the Gram
-    matrix entries of comparable size. Only applies to systems in the
-    standard (-2a, 1) design form.
-    """
-    design = s.design
-    if not np.array_equal(design[:, 2], np.ones(design.shape[0])):
-        return s, np.zeros(2)
-    anchors = -0.5 * design[:, :2]
-    center = anchors.mean(axis=0)
-    if not center.any():
-        return s, np.zeros(2)
-    shifted = np.column_stack([-2.0 * (anchors - center), np.ones(design.shape[0])])
-    rhs = s.rhs + 2.0 * (anchors @ center) - center @ center
-    return GtrsSystem(design=shifted, rhs=rhs, weights=s.weights), center
-
-
 def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER) -> GtrsSolution:
     """Minimize the weighted squared-range objective subject to alpha = ||x||^2.
 
-    Bisects the constraint residual of the stationary point over the
-    admissible multiplier interval. The lower bracket sits just inside the
-    interval's open left end; the upper bracket is found by doubling from 1
-    until the residual turns negative. Stops when |residual| <= tol or the
-    iteration budget runs out; the best iterate seen is returned with its
-    achieved residual.
+    Needs the standard (-2a, 1) design; any other raises ValueError. With the
+    anchors centred on their weighted centroid and the scatter
+    S = 4 sum w (a - c)(a - c)' = U diag(s) U', the constraint residual of the
+    stationary point is the secular function
+
+        phi(lam) = sum_k z_k^2 / (s_k + lam)^2 - (g_alpha + lam / 2) / sum w,
+
+    z = U' g_x, strictly decreasing on lam > -min s. It is bisected from just
+    inside that open left end up to a bracket found by doubling from 1 until
+    phi turns negative. Stops when |phi| <= tol or the iteration budget runs
+    out; the best iterate seen is returned with its achieved residual, in the
+    original frame, where (G + lam Q) y = g + (lam / 2) e3 holds.
     """
-    work, center = _centered(s)
-    gram = work.gram()
-    b = work.gram_rhs()
-    lam_max = max_generalized_eigenvalue(work)
-    lower = -1.0 / lam_max
+    design = s.design
+    if not np.array_equal(design[:, 2], np.ones(design.shape[0])):
+        raise ValueError("solve needs the standard (-2a, 1) design")
+    w = s.weights
+    w_sum = float(w.sum())
+    anchors = -0.5 * design[:, :2]
+    center = w @ anchors / w_sum
+    shifted = anchors - center
+    # Shifting the frame leaves the objective, the constraint value and the
+    # multiplier unchanged; only the right-hand side picks up the shift.
+    rhs = s.rhs + 2.0 * (anchors @ center) - center @ center
+    evals, evecs = np.linalg.eigh(4.0 * shifted.T @ (w[:, None] * shifted))
+    if evals[0] <= 0:
+        raise DegenerateGeometryError("weighted anchor scatter is not positive definite")
+    s0, s1 = evals.tolist()
+    z0, z1 = (evecs.T @ (-2.0 * shifted.T @ (w * rhs))).tolist()
+    g_alpha = float(w @ rhs)
+    zz0, zz1 = z0 * z0, z1 * z1
+
+    def phi_at(lam: float) -> float:
+        r0, r1 = s0 + lam, s1 + lam
+        return zz0 / (r0 * r0) + zz1 / (r1 * r1) - (g_alpha + 0.5 * lam) / w_sum
+
+    lower = -s0
     lower += 1e-9 * (1.0 + abs(lower))
-
-    g00, g01, g02 = float(gram[0, 0]), float(gram[0, 1]), float(gram[0, 2])
-    g11, g12, g22 = float(gram[1, 1]), float(gram[1, 2]), float(gram[2, 2])
-    b0, b1, b2 = float(b[0]), float(b[1]), float(b[2])
-
-    def eval_at(lam: float):
-        # A singular shifted matrix is nudged toward the interval's interior.
-        for _ in range(8):
-            row = (
-                (g00 + lam, g01, g02),
-                (g01, g11 + lam, g12),
-                (g02, g12, g22),
-            )
-            rhs = (b0, b1, b2 + 0.5 * lam)
-            y = _solve3(row, rhs)
-            if y is not None:
-                return y, y[0] * y[0] + y[1] * y[1] - y[2]
-            lam += 1e-12 * (1.0 + abs(lam))
-        raise DegenerateGeometryError("shifted system stays singular near the multiplier")
-
     upper = 1.0
-    y, phi = eval_at(upper)
+    phi = phi_at(upper)
     doublings = 0
     while phi >= 0.0:
         if doublings == _MAX_DOUBLINGS:
             raise NoRootError("constraint residual never turned negative while expanding the bracket")
         upper *= 2.0
         doublings += 1
-        y, phi = eval_at(upper)
+        phi = phi_at(upper)
 
     lo, hi = lower, upper
-    best_y, best_phi, best_lam = y, phi, upper
+    best_phi, best_lam = phi, upper
     iterations = 0
     for iterations in range(1, max_iter + 1):
         lam = 0.5 * (lo + hi)
-        y, phi = eval_at(lam)
+        phi = phi_at(lam)
         if abs(phi) < abs(best_phi):
-            best_y, best_phi, best_lam = y, phi, lam
+            best_phi, best_lam = phi, lam
         if abs(phi) <= tol:
             break
         if phi > 0.0:
@@ -217,9 +188,11 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
         else:
             hi = lam
 
-    x = np.array(best_y[:2]) + center
+    x_shifted = evecs @ np.array([z0 / (s0 + best_lam), z1 / (s1 + best_lam)])
+    alpha_shifted = (g_alpha + 0.5 * best_lam) / w_sum
+    x = x_shifted + center
     # alpha re-expressed in the original frame; the residual is unchanged.
-    alpha = best_y[2] + 2.0 * (center @ best_y[:2]) + center @ center
+    alpha = alpha_shifted + 2.0 * (center @ x_shifted) + center @ center
     return GtrsSolution(
         y=np.array([x[0], x[1], alpha]),
         x=x,

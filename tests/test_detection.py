@@ -255,6 +255,18 @@ class TestDetect:
         assert out.relative_errors is None
         assert out.honest is None
 
+    def test_honest_set_keeps_three_points_when_pairs_are_disjoint(self):
+        # Circle 0 contains circles 1 and 3 and meets circle 2, so it is not
+        # flagged geometrically; two disjoint pairs must not shrink the honest
+        # set below the three points the honest anchors still supply.
+        d = square_distances()
+        d[0] = 1.9
+        out = detect(SQUARE, d, tau=0.3)
+        assert out.geometric_flags == frozenset()
+        assert out.honest.size == 3
+        np.testing.assert_allclose(out.x_init, CENTER, atol=1e-9)
+        assert out.attacker_set == frozenset({0})
+
     def test_huge_threshold_rarely_flags_weak_attacker(self):
         rng = np.random.default_rng(7)
         empty = ran = 0

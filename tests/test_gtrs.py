@@ -157,6 +157,32 @@ class TestSolve:
         b = solve(scaled)
         np.testing.assert_allclose(a.x, b.x, atol=1e-9)
 
+    def test_reaches_tolerance_where_lifted_solves_stalled(self):
+        anchors = np.array([(16.974, 5.446), (11.154, 19.743), (16.725, 5.853)])
+        d = np.array([13.681, 16.795, 13.53])
+        sol = solve(build_system(anchors, d))
+        assert abs(sol.phi_residual) <= 1e-10
+        assert sol.iterations < 100
+
+    def test_multiplier_satisfies_lifted_stationarity(self):
+        rng = np.random.default_rng(22)
+        for scale in (1.0, 7.5):
+            for _ in range(50):
+                anchors, _, d = random_instance(rng, n=int(rng.integers(3, 7)))
+                s = build_system(anchors, d)
+                s = GtrsSystem(design=s.design, rhs=s.rhs, weights=scale * s.weights)
+                sol = solve(s)
+                y = np.linalg.solve(
+                    s.gram() + sol.lam * np.diag([1.0, 1.0, 0.0]),
+                    s.gram_rhs() + [0.0, 0.0, 0.5 * sol.lam],
+                )
+                np.testing.assert_allclose(sol.y, y, rtol=1e-8, atol=1e-8)
+
+    def test_nonstandard_design_rejected(self):
+        s = GtrsSystem(design=math.sqrt(3.0) * np.eye(3), rhs=np.ones(3), weights=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="standard"):
+            solve(s)
+
     def test_iterations_within_budget(self):
         rng = np.random.default_rng(18)
         anchors, _, d = random_instance(rng)
