@@ -1,10 +1,10 @@
-"""Exact squared-range localization by bisection, next to its fragile cousin.
+"""Exact squared-range localization on the secular function, next to its fragile cousin.
 
 Squared ranges make the problem linear in (x, ||x||^2) except for the tie
 between the two. Dropping the tie gives ordinary weighted least squares,
 which an enlarged range can throw far off. Keeping it yields a quadratic
 problem with a single quadratic constraint whose multiplier is found by
-bisection on a strictly decreasing residual function; this demo prints that
+safeguarded Newton steps on a strictly decreasing residual function; this demo prints that
 function, the solver trace, and an attacked comparison of both estimators.
 
 Run:  python demos/02_exact_localization.py
@@ -34,9 +34,9 @@ for lam in (-0.9 / lam_max, 0.0, 2.0, 20.0, 200.0):
     y = np.linalg.solve(gram + lam * np.diag([1.0, 1.0, 0.0]), b + [0.0, 0.0, 0.5 * lam])
     print(f"lambda {lam:10.3f}  constraint residual {y[0]**2 + y[1]**2 - y[2]:14.4f}")
 
-print("\n=== bisection solve ===")
+print("\n=== exact solve ===")
 sol = solve(system)
-print(f"multiplier {sol.lam:.6f} after {sol.iterations} bisections, residual {sol.phi_residual:.1e}")
+print(f"multiplier {sol.lam:.6f} after {sol.iterations} evaluations, residual {sol.phi_residual:.1e}")
 print(f"estimate {np.round(sol.x, 3)}, true target {scene.target}")
 
 print("\n=== attacked comparison over 500 fresh scenes ===")

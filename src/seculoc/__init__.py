@@ -5,7 +5,7 @@ Library layout:
 - ``geometry``: circle intersections, pair classification, compactness
 - ``measurement``: ranging model, attack model, sample reductions
 - ``detection``: intersection graph, honest-point clustering, thresholding
-- ``gtrs``: exact squared-range solver via bisection on the multiplier
+- ``gtrs``: exact squared-range solver via Newton steps on the multiplier
 - ``pipeline``: the end-to-end secure localization algorithm and benchmarks
 - ``bounds``: analytic detection-probability bounds
 - ``baseline``: weighted least squares with a GLRT detector

@@ -103,19 +103,27 @@ def detection_bounds(s: ErrorStats) -> DetectionBounds:
     """
     a = s.attacker_index
     mu_a = float(s.mu[a])
-    others = [float(m) for i, m in enumerate(s.mu) if i != a]
+    others = np.delete(s.mu, a)
+    rot_a = (mu_a - others) / _SQRT2
+    rot_i = (mu_a + others) / _SQRT2
+    # Every Q value in one call, laid out as the blocks unpacked below; the
+    # per-element arithmetic is that of prob_abs_less and prob_abs_leq.
+    z = np.concatenate(([s.tau + mu_a, s.tau - mu_a], rot_a, -rot_i, -rot_a, rot_i,
+                        s.tau + others, s.tau - others)) / s.sigma_y
+    q_tail = q_function(z)
+    q_pairs = q_tail[2:].reshape(6, others.size)
 
-    p_exceed = q_function((s.tau + mu_a) / s.sigma_y) + q_function((s.tau - mu_a) / s.sigma_y)
+    p_exceed = float(q_tail[0] + q_tail[1])
     up_d = min(1.0, max(0.0, p_exceed))
 
     # Union bound: 1 - sum_i P(|y_a| < |y_i|) - P(|y_a| <= tau).
-    lpd1 = 1.0 - sum(prob_abs_less(mu_a, mu_i, s.sigma_y) for mu_i in others)
-    lpd1 -= prob_abs_leq(s.tau, mu_a, s.sigma_y)
+    less = np.clip(q_pairs[0] * q_pairs[1] + q_pairs[2] * q_pairs[3], 0.0, 1.0)
+    lpd1 = 1.0 - sum(less.tolist())
+    lpd1 -= min(1.0, max(0.0, 1.0 - p_exceed))
     lpd1 = min(1.0, max(0.0, lpd1))
 
-    lpd2 = p_exceed
-    for mu_i in others:
-        lpd2 *= prob_abs_leq(s.tau, mu_i, s.sigma_y)
+    leq = np.clip(1.0 - (q_pairs[4] + q_pairs[5]), 0.0, 1.0)
+    lpd2 = math.prod(leq.tolist(), start=p_exceed)
     lpd2 = min(1.0, max(0.0, lpd2))
 
     return DetectionBounds(lpd1=lpd1, lpd2=lpd2, lp_d=max(lpd1, lpd2), up_d=up_d)

@@ -1,4 +1,4 @@
-"""Weighted squared-range localization solved exactly by bisection.
+"""Weighted squared-range localization solved exactly on its secular function.
 
 Squaring the range equations makes the objective quadratic in the lifted
 variable y = (x, alpha) with alpha tied to ||x||^2 by one quadratic equality.
@@ -8,12 +8,13 @@ and the constraint residual of that stationary point is strictly decreasing
 in the multiplier. Centring the anchors on their weighted centroid makes the
 lifted Gram matrix block-diagonal, so that residual becomes an explicit
 two-term secular function of the multiplier (Beck, Stoica & Li, 2008) whose
-root is found by plain bisection. The solver needs the standard (-2a, 1)
-design that ``build_system`` produces.
+root is found by safeguarded Newton steps (Moré, 1993). The solver needs the
+standard (-2a, 1) design that ``build_system`` produces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ CONSTRAINT_QUAD = np.diag([1.0, 1.0, 0.0])
 _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_ITER = 100
 _MAX_DOUBLINGS = 60
+# Eigenvalue ratio of the anchor scatter at or below which anchors count as
+# collinear: the square of the singular-value ratio the campaign resamples at.
+_COLLINEAR_RATIO = 1e-12
 
 
 @dataclass
@@ -78,8 +82,10 @@ def build_system(anchors, d) -> GtrsSystem:
     """Assemble the weighted squared-range system for the given anchors.
 
     Weights are proportional to inverse measured distance (nearby links get
-    more belief) and normalized to sum to one. Collinear anchors leave the
-    design rank-deficient and raise DegenerateGeometryError.
+    more belief) and normalized to sum to one. Anchors whose 2x2 scatter
+    about their weighted centroid has an eigenvalue ratio of about 1e-12 or
+    less are collinear: they leave the design rank-deficient and raise
+    DegenerateGeometryError.
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -90,14 +96,19 @@ def build_system(anchors, d) -> GtrsSystem:
         raise DegenerateGeometryError("planar localization needs at least 3 anchors")
     if d.shape != (n,):
         raise ValueError("one distance per anchor required")
-    if (d <= 0).any():
+    if d.min() <= 0:
         raise ValueError("distances must be positive")
-    design = np.column_stack([-2.0 * anchors, np.ones(n)])
-    if np.linalg.matrix_rank(design) < 3:
-        raise DegenerateGeometryError("anchors are collinear")
-    rhs = d * d - (anchors * anchors).sum(axis=1)
     weights = 1.0 / d
     weights /= weights.sum()
+    centred = anchors - weights @ anchors
+    (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
+    # det / trace^2 lies between a quarter of the eigenvalue ratio and the ratio.
+    if sxx * syy - sxy * sxy <= _COLLINEAR_RATIO * (sxx + syy) ** 2:
+        raise DegenerateGeometryError("anchors are collinear")
+    design = np.empty((n, 3))
+    design[:, :2] = -2.0 * anchors
+    design[:, 2] = 1.0
+    rhs = d * d - (anchors * anchors).sum(axis=1)
     return GtrsSystem(design=design, rhs=rhs, weights=weights)
 
 
@@ -132,69 +143,109 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
 
         phi(lam) = sum_k z_k^2 / (s_k + lam)^2 - (g_alpha + lam / 2) / sum w,
 
-    z = U' g_x, strictly decreasing on lam > -min s. It is bisected from just
-    inside that open left end up to a bracket found by doubling from 1 until
-    phi turns negative. Stops when |phi| <= tol or the iteration budget runs
-    out; the best iterate seen is returned with its achieved residual, in the
-    original frame, where (G + lam Q) y = g + (lam / 2) e3 holds.
+    z = U' g_x, strictly decreasing and convex on lam > -min s. Its root lies
+    in a bracket from just inside that open left end up to a right end found
+    by doubling from trace(S) until phi turns negative. Newton steps start
+    at the larger of 0 (the unconstrained least-squares point) and
+    -2 g_alpha (left of which alpha < 0 <= ||x||^2); a step that leaves the
+    bracket is replaced by the bracket's midpoint. The stop is relative to
+    the coordinate scale: |phi| <= tol * rho, with rho = trace(S) / (4 sum w)
+    the weighted mean squared anchor distance from the centroid, so ``tol``
+    is in m^2 for anchors about a metre from their centroid. One more step
+    follows the stop, which by quadratic convergence leaves |phi| near
+    rounding. At most ``max_iter`` evaluations; the best iterate seen is
+    returned with its achieved residual, in the original frame, where
+    (G + lam Q) y = g + (lam / 2) e3 holds.
     """
-    design = s.design
-    if not np.array_equal(design[:, 2], np.ones(design.shape[0])):
+    design, w = s.design, s.weights
+    # Counting in a list is much cheaper than a numpy reduction at N <= 10.
+    ones = design[:, 2].tolist()
+    if ones.count(1.0) != len(ones):
         raise ValueError("solve needs the standard (-2a, 1) design")
-    w = s.weights
     w_sum = float(w.sum())
     anchors = -0.5 * design[:, :2]
     center = w @ anchors / w_sum
     shifted = anchors - center
     # Shifting the frame leaves the objective, the constraint value and the
-    # multiplier unchanged; only the right-hand side picks up the shift.
-    rhs = s.rhs + 2.0 * (anchors @ center) - center @ center
-    evals, evecs = np.linalg.eigh(4.0 * shifted.T @ (w[:, None] * shifted))
-    if evals[0] <= 0:
-        raise DegenerateGeometryError("weighted anchor scatter is not positive definite")
-    s0, s1 = evals.tolist()
-    z0, z1 = (evecs.T @ (-2.0 * shifted.T @ (w * rhs))).tolist()
+    # multiplier unchanged; only the right-hand side picks up the shift,
+    # ||a||^2 - ||a - c||^2 = (a + (a - c)) . c.
+    rhs = s.rhs + (anchors + shifted) @ center
+    weighted = shifted * w[:, None]
+    (sxx, sxy), (_, syy) = (shifted.T @ weighted).tolist()
+    gx, gy = (weighted.T @ rhs).tolist()
     g_alpha = float(w @ rhs)
+    inv_w = 1.0 / w_sum
+
+    # Closed-form eigenpairs of S / 4: s0 <= s1, and the rotation by theta
+    # takes the first axis onto the eigenvector of s1.
+    half_trace = 0.5 * (sxx + syy)
+    radius = math.hypot(0.5 * (sxx - syy), sxy)
+    s0, s1 = 4.0 * (half_trace - radius), 4.0 * (half_trace + radius)
+    if s0 <= 0.0:
+        raise DegenerateGeometryError("weighted anchor scatter is not positive definite")
+    theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    # z = U' g_x with g_x = -2 sum w (a - c) rhs.
+    z0 = 2.0 * (sin_t * gx - cos_t * gy)
+    z1 = -2.0 * (cos_t * gx + sin_t * gy)
     zz0, zz1 = z0 * z0, z1 * z1
 
     def phi_at(lam: float) -> float:
         r0, r1 = s0 + lam, s1 + lam
-        return zz0 / (r0 * r0) + zz1 / (r1 * r1) - (g_alpha + 0.5 * lam) / w_sum
+        return zz0 / (r0 * r0) + zz1 / (r1 * r1) - (g_alpha + 0.5 * lam) * inv_w
 
-    lower = -s0
-    lower += 1e-9 * (1.0 + abs(lower))
-    upper = 1.0
-    phi = phi_at(upper)
+    lo = -s0 * (1.0 - 1e-9)
+    hi = 8.0 * half_trace
+    phi = phi_at(hi)
     doublings = 0
     while phi >= 0.0:
         if doublings == _MAX_DOUBLINGS:
             raise NoRootError("constraint residual never turned negative while expanding the bracket")
-        upper *= 2.0
+        hi *= 2.0
         doublings += 1
-        phi = phi_at(upper)
+        phi = phi_at(hi)
 
-    lo, hi = lower, upper
-    best_phi, best_lam = phi, upper
+    stop = tol * 2.0 * half_trace * inv_w
+    best_phi, best_lam = phi, hi
+    lam = max(0.0, -2.0 * g_alpha)
+    converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        lam = 0.5 * (lo + hi)
-        phi = phi_at(lam)
+        q0, q1 = 1.0 / (s0 + lam), 1.0 / (s1 + lam)
+        t0, t1 = zz0 * q0 * q0, zz1 * q1 * q1
+        b = (g_alpha + 0.5 * lam) * inv_w
+        phi = t0 + t1 - b
         if abs(phi) < abs(best_phi):
             best_phi, best_lam = phi, lam
-        if abs(phi) <= tol:
+        if converged:
             break
+        converged = abs(phi) <= stop
         if phi > 0.0:
             lo = lam
         else:
             hi = lam
+        # Every candidate lands at or below the root, so the largest is kept:
+        # Newton on phi (convex), Newton on psi = a^-1/2 - b^-1/2 (concave,
+        # nearly linear beside the pole) and, from the right, the root of the
+        # s0 pole term against the rest of phi, which only grows leftwards.
+        a = t0 + t1
+        dsum = t0 * q0 + t1 * q1
+        step = lam + phi / (2.0 * dsum + 0.5 * inv_w)
+        if b > 0.0 and a > 0.0:
+            step = max(step, lam - (a ** -0.5 - b ** -0.5) / (a ** -1.5 * dsum + 0.25 * inv_w * b ** -1.5))
+        if phi < 0.0:
+            step = max(step, abs(z0) / math.sqrt(b - t1) - s0)
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
 
-    x_shifted = evecs @ np.array([z0 / (s0 + best_lam), z1 / (s1 + best_lam)])
-    alpha_shifted = (g_alpha + 0.5 * best_lam) / w_sum
-    x = x_shifted + center
+    # x in the eigenbasis of S, rotated back and moved to the original frame.
+    e0, e1 = z0 / (s0 + best_lam), z1 / (s1 + best_lam)
+    x0, x1 = cos_t * e1 - sin_t * e0, sin_t * e1 + cos_t * e0
+    cx, cy = center.tolist()
     # alpha re-expressed in the original frame; the residual is unchanged.
-    alpha = alpha_shifted + 2.0 * (center @ x_shifted) + center @ center
+    alpha = (g_alpha + 0.5 * best_lam) * inv_w + 2.0 * (cx * x0 + cy * x1) + cx * cx + cy * cy
+    x = np.array([x0 + cx, x1 + cy])
     return GtrsSolution(
-        y=np.array([x[0], x[1], alpha]),
+        y=np.array([x0 + cx, x1 + cy, alpha]),
         x=x,
         lam=best_lam,
         phi_residual=best_phi,

@@ -1,12 +1,16 @@
-"""End-to-end secure localization: detect attackers, then refine by bisection.
+"""End-to-end secure localization: detect attackers, then refine exactly.
 
 The pipeline runs the geometric pre-filter, forms an initial estimate from
 the honest intersection points, names attackers by thresholded relative
-error, re-solves on the surviving anchors through the exact squared-range
-solver, and keeps whichever of the two estimates scores the lower
-bias-compensated likelihood cost. When the geometric pre-filter alone
-shrinks the network to the minimum localizable size, the initial estimate is
-skipped entirely and the refined estimate is returned outright.
+error, and re-solves on the surviving anchors through the exact squared-range
+solver. The bias-compensated likelihood cost of the two estimates is
+recorded, but it cannot tell them apart: the fitted per-anchor bias absorbs
+the position, so the cost of any position is the scatter of each anchor's
+samples about their mean. The tie therefore goes to the refined estimate,
+and the initial estimate is returned only when the re-solve fails. When the
+geometric pre-filter alone shrinks the network to the minimum localizable
+size, the initial estimate is skipped entirely and the refined estimate is
+returned outright.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ class SecureLocResult:
 
     ``x_init`` and ``detection`` are None when the geometric pre-filter
     already reduced the network to q+1 anchors and the clustering stage
-    never ran; in that case no cost comparison happens and ``costs[0]`` is
-    None as well. ``delta_hat`` holds the per-anchor bias estimated at the
-    final estimate.
+    never ran; ``costs[0]`` is None as well then. ``chose_gtrs`` is True
+    exactly when ``x_gtrs`` is set. ``delta_hat`` holds the per-anchor bias
+    estimated at the final estimate.
     """
 
     x_final: np.ndarray
@@ -60,9 +64,10 @@ def cost(x_est, delta_hat, m: MeasurementSet, anchors) -> float:
     """Sum of squared sample residuals after removing the per-anchor bias.
 
     Evaluates the likelihood cost of a candidate position over all samples of
-    all given anchors, with each anchor's estimated bias subtracted. With a
-    single sample per anchor the bias absorbs the residual exactly and the
-    cost is identically zero.
+    all given anchors, with each anchor's estimated bias subtracted. With the
+    bias fitted at ``x_est`` by ``estimate_attack_intensity`` the cost does
+    not depend on ``x_est``; with a single sample per anchor it is
+    identically zero.
     """
     anchors = np.asarray(anchors, dtype=float)
     delta_hat = np.asarray(delta_hat, dtype=float)
@@ -80,10 +85,11 @@ def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
 def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureLocResult:
     """Run the full secure localization pipeline on one measurement set.
 
-    Detection and geometry consume the per-anchor sample means; the cost
-    comparison consumes every sample. The refined estimate is preferred on
-    cost ties. Raises UnlocalizableError when fewer than q+1 usable anchors
-    or honest candidate points remain at any stage.
+    Detection and geometry consume the per-anchor sample means; the costs
+    consume every sample. The refined estimate is kept whenever its solve
+    succeeds, since the two costs always tie. Raises UnlocalizableError when
+    fewer than q+1 usable anchors or honest candidate points remain at any
+    stage.
     """
     _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
@@ -95,28 +101,18 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
     attackers = outcome.attacker_set
     survivors = sorted(set(range(anchors.shape[0])) - attackers)
 
-    if outcome.x_init is None:
-        # The pre-filter alone left q+1 anchors: no initial estimate to weigh against.
-        x_gtrs = _gtrs_estimate(anchors, d, survivors)
-        delta2 = estimate_attack_intensity(x_gtrs, m, anchors)
-        f2 = cost(x_gtrs, delta2, m, anchors)
-        return SecureLocResult(
-            x_final=x_gtrs,
-            x_init=None,
-            x_gtrs=x_gtrs,
-            attacker_set=attackers,
-            delta_hat=delta2,
-            costs=(None, f2),
-            chose_gtrs=True,
-        )
-
+    # x_init is None when the pre-filter alone left q+1 anchors and the
+    # clustering stage never ran.
     x_init = outcome.x_init
-    delta1 = estimate_attack_intensity(x_init, m, anchors)
-    f1 = cost(x_init, delta1, m, anchors)
-
+    f1 = None
+    if x_init is not None:
+        delta1 = estimate_attack_intensity(x_init, m, anchors)
+        f1 = cost(x_init, delta1, m, anchors)
     try:
         x_gtrs = _gtrs_estimate(anchors, d, survivors)
     except (DegenerateGeometryError, NoRootError):
+        if x_init is None:
+            raise
         return SecureLocResult(
             x_final=x_init,
             x_init=x_init,
@@ -130,16 +126,16 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
 
     delta2 = estimate_attack_intensity(x_gtrs, m, anchors)
     f2 = cost(x_gtrs, delta2, m, anchors)
-    chose_gtrs = f2 <= f1
+    # f1 and f2 agree up to rounding, so comparing them would be a coin flip.
     return SecureLocResult(
-        x_final=x_gtrs if chose_gtrs else x_init,
+        x_final=x_gtrs,
         x_init=x_init,
         x_gtrs=x_gtrs,
         attacker_set=attackers,
-        delta_hat=delta2 if chose_gtrs else delta1,
+        delta_hat=delta2,
         costs=(f1, f2),
-        chose_gtrs=chose_gtrs,
-        detection=outcome,
+        chose_gtrs=True,
+        detection=None if x_init is None else outcome,
     )
 
 

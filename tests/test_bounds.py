@@ -113,6 +113,33 @@ class TestDetectionBounds:
             assert b.lp_d == max(b.lpd1, b.lpd2)
             assert b.lp_d <= b.up_d <= 1.0
 
+    def test_matches_per_anchor_reference_exactly(self):
+        # Reference: the bounds assembled one honest anchor at a time from the
+        # scalar probabilities, summed and multiplied in anchor order.
+        def reference(s):
+            a = s.attacker_index
+            mu_a = float(s.mu[a])
+            others = [float(m) for i, m in enumerate(s.mu) if i != a]
+            p_exceed = q_function((s.tau + mu_a) / s.sigma_y) + q_function((s.tau - mu_a) / s.sigma_y)
+            lpd1 = 1.0 - sum(prob_abs_less(mu_a, mu_i, s.sigma_y) for mu_i in others)
+            lpd1 = min(1.0, max(0.0, lpd1 - prob_abs_leq(s.tau, mu_a, s.sigma_y)))
+            lpd2 = p_exceed
+            for mu_i in others:
+                lpd2 *= prob_abs_leq(s.tau, mu_i, s.sigma_y)
+            lpd2 = min(1.0, max(0.0, lpd2))
+            return (lpd1, lpd2, max(lpd1, lpd2), min(1.0, max(0.0, p_exceed)))
+
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            n = int(rng.integers(4, 11))
+            s = ErrorStats(
+                mu=rng.uniform(-3, 3, n) * rng.choice([0.01, 1.0, 10.0]),
+                sigma_y=float(rng.uniform(0.02, 2.0)),
+                attacker_index=int(rng.integers(0, n)),
+                tau=float(rng.uniform(0.0, 1.0)),
+            )
+            assert tuple(detection_bounds(s)) == reference(s)
+
     def test_zero_tau_upper_bound_is_one(self):
         s = ErrorStats(mu=[0.5, 0.0, 0.1, -0.2], sigma_y=0.3, attacker_index=0, tau=0.0)
         assert detection_bounds(s).up_d == pytest.approx(1.0, abs=1e-12)

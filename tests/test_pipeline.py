@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from seculoc.errors import UnlocalizableError
+import seculoc.pipeline
+from seculoc.errors import NoRootError, UnlocalizableError
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 from seculoc.pipeline import (
     cost,
@@ -70,6 +71,16 @@ class TestCost:
         delta = estimate_attack_intensity(x, m, ANCHORS)
         assert cost(x, delta, m, ANCHORS) == 0.0
 
+    def test_independent_of_position_with_fitted_bias(self):
+        # The fitted bias absorbs the position: the cost is the scatter of
+        # each anchor's samples about their own mean.
+        rng = np.random.default_rng(6)
+        m = MeasurementSet(samples=rng.uniform(2, 30, (4, 10)), sigma=1.0)
+        scatter = float(((m.samples - m.samples.mean(axis=1, keepdims=True)) ** 2).sum())
+        for x in rng.uniform(-50, 70, (20, 2)):
+            delta = estimate_attack_intensity(x, m, ANCHORS)
+            assert cost(x, delta, m, ANCHORS) == pytest.approx(scatter, rel=1e-9)
+
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(3)
         m = MeasurementSet(samples=rng.uniform(2, 30, (4, 10)), sigma=1.0)
@@ -100,8 +111,9 @@ class TestLocateSecure:
                 continue
             candidates = [v for v in (res.x_init, res.x_gtrs) if v is not None]
             assert any(np.array_equal(res.x_final, c) for c in candidates)
-            if res.x_init is not None and res.x_gtrs is not None:
-                assert res.chose_gtrs == (res.costs[1] <= res.costs[0])
+            if res.x_gtrs is not None:
+                assert res.chose_gtrs
+                assert res.x_final is res.x_gtrs
 
     def test_geometric_shortcut_path(self):
         d = np.linalg.norm(ANCHORS - TARGET, axis=1)
@@ -114,6 +126,23 @@ class TestLocateSecure:
         assert res.costs[0] is None
         assert res.chose_gtrs
         assert np.linalg.norm(res.x_final - TARGET) < 1e-6
+
+    def test_failed_refinement_falls_back_to_initial_estimate(self, monkeypatch):
+        def no_root(system):
+            raise NoRootError("forced")
+
+        monkeypatch.setattr(seculoc.pipeline, "solve", no_root)
+        res = locate_secure(ANCHORS, noiseless(k=3), 0.3)
+        assert res.x_init is not None and res.x_gtrs is None
+        assert res.x_final is res.x_init
+        assert not res.chose_gtrs
+        assert res.costs[1] is None
+        # Without an initial estimate there is nothing to fall back to.
+        d = np.linalg.norm(ANCHORS - TARGET, axis=1)
+        samples = d[:, None].repeat(2, axis=1)
+        samples[2] += 60.0
+        with pytest.raises(NoRootError):
+            locate_secure(ANCHORS, MeasurementSet(samples=samples, sigma=1.0), 0.3)
 
     def test_huge_threshold_and_no_flags_reduces_to_selection(self):
         rng = np.random.default_rng(5)
