@@ -38,7 +38,6 @@ from .measurement import (
 )
 from .pipeline import (
     SecureLocResult,
-    cost,
     estimate_attack_intensity,
     locate_no_detection,
     locate_perfect_detection,
@@ -70,7 +69,6 @@ __all__ = [
     "build_system",
     "classify_pair",
     "cluster_compactness",
-    "cost",
     "detect",
     "detection_bounds",
     "emit_csv",

@@ -10,27 +10,22 @@ circle, because an attack can only enlarge a range: an isolated circle that
 could still be reached by growing its radius may simply be noise-starved.
 
 From the surviving pairs the stage picks the most compact set of candidate
-intersection points, averages them with inverse-distance weights into an
+intersection points, one per pair, exactly and by the same branch-and-bound
+search at every size, averages them with inverse-distance weights into an
 initial position estimate, and thresholds the relative disagreement between
 measured and re-estimated ranges to name attackers.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnlocalizableError
 from .geometry import Circle, CircleRelation, classify_pair, intersect_circles
 from .measurement import median_distance
-
-# Beyond this many (subset, sign) combinations the selection falls back to
-# greedy seeding plus local improvement.
-_EXHAUSTIVE_LIMIT = 200_000
-
 
 @dataclass
 class IntersectionGraph:
@@ -48,12 +43,16 @@ class IntersectionGraph:
     geometric_flags: frozenset[int]
 
     def restricted_to(self, keep) -> "IntersectionGraph":
-        """Sub-graph over a subset of anchors; flags are not recomputed."""
+        """Sub-graph over a subset of anchors; flags are not recomputed.
+
+        Pairs keep their original anchor indices, so the sub-graph keeps the
+        parent's index space and anchor count.
+        """
         keep = set(keep)
         pts = {p: v for p, v in self.points.items() if p[0] in keep and p[1] in keep}
         disj = frozenset(p for p in self.disjoint_pairs if p[0] in keep and p[1] in keep)
         return IntersectionGraph(
-            n_anchors=len(keep), points=pts, disjoint_pairs=disj, geometric_flags=frozenset()
+            n_anchors=self.n_anchors, points=pts, disjoint_pairs=disj, geometric_flags=frozenset()
         )
 
 
@@ -145,13 +144,6 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
     )
 
 
-@lru_cache(maxsize=64)
-def _subset_templates(n_pairs: int, size: int):
-    combos = np.array(list(itertools.combinations(range(n_pairs), size)), dtype=np.intp)
-    signs = np.array(list(itertools.product((0, 1), repeat=size)), dtype=np.intp)
-    return combos, signs
-
-
 def _candidate_distances(pts: np.ndarray):
     """Flatten (n_pairs, 2, 2) candidates to index 2*pair + sign, with all pairwise distances."""
     flat = pts.reshape(-1, 2)
@@ -162,65 +154,93 @@ def _coord_key(points: np.ndarray) -> tuple:
     return tuple(sorted(map(tuple, np.round(points, 12))))
 
 
-def _select_exhaustive(pair_ids, pts, target_size):
-    flat, dist = _candidate_distances(pts)
-    combos, signs = _subset_templates(len(pair_ids), target_size)
-    idx = 2 * combos[:, None, :] + signs[None, :, :]  # (n_combos, n_signs, size)
-    iu, jv = np.triu_indices(target_size, 1)
-    comp = dist[idx[..., iu], idx[..., jv]].sum(axis=-1)
-    ties = np.argwhere(comp == comp.min())
-    # Deterministic tie-break on the sorted coordinate list.
-    chosen = min((idx[ci, si] for ci, si in ties), key=lambda sel: _coord_key(flat[sel]))
-    return [(pair_ids[c // 2], flat[c].copy()) for c in chosen]
+def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
+    """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
+    A depth-first branch and bound: pairs are added in increasing order, so
+    each subset is visited once, and children are explored cheapest first. A
+    node with r points still to add is bounded below by its cost so far plus,
+    for each of those points, its summed distance to the chosen points and
+    half the sum of its r - 1 smallest distances to candidates of other
+    pairs; per pair the cheaper sign counts, and the r smallest values over
+    the pairs after the last one chosen are added. A node is pruned only when
+    its bound exceeds the incumbent by more than 1e-9 relative, so every leaf
+    that ties the optimum up to rounding survives. Survivors are re-scored by
+    one gather-and-sum and exact ties broken on the sorted coordinates, then
+    on (pairs, signs) in lexicographic order. The exception is a cost of
+    exactly zero, which nothing beats: the search stops there, and the tie
+    break runs over the zero-cost leaves found up to that point.
+    """
+    n_cand = dist.shape[0]
+    n_pairs = n_cand // 2
+    pair_of = np.arange(n_cand) // 2
+    nearest = np.sort(np.where(pair_of[:, None] == pair_of[None, :], np.inf, dist), axis=1)
+    # half[r - 1, c]: half the sum of c's r - 1 smallest distances to other pairs.
+    half = np.zeros((size, n_cand))
+    half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
+    later = pair_of[:, None] < pair_of[None, :]
+    limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
+    leaves: list[tuple[float, tuple[int, ...]]] = []
 
-def _select_greedy(pair_ids, pts, target_size):
-    """Greedy seeding from the closest cross-pair candidates, then 1-swap polish."""
-    n_pairs = len(pair_ids)
-    flat, dist = _candidate_distances(pts)  # candidate 2*p + s belongs to pair p
-    m = flat.shape[0]
-    same_pair = np.repeat(np.arange(n_pairs), 2)
-    blocked = same_pair[:, None] == same_pair[None, :]
-    masked = np.where(blocked, np.inf, dist)
-    seed = np.unravel_index(np.argmin(masked), masked.shape)
+    def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
+        # reach[c]: summed distance from candidate c to the chosen candidates.
+        nonlocal limit
+        if limit == 0.0:
+            # No cost beats an exact zero, and searching for its exact ties
+            # (coincident points of many pairs) would enumerate them all.
+            return
+        lo = 2 * first
+        if r == 2:
+            # Both remaining points at once: c, then d of a later pair.
+            tail = reach[lo:]
+            costs = np.where(later[lo:, lo:], dist[lo:, lo:] + tail[:, None] + tail[None, :], np.inf)
+            costs += cost
+            lowest = float(costs.min())
+            if lowest > limit:
+                return
+            limit = min(limit, lowest + 1e-9 * lowest)
+            for c, d in np.argwhere(costs <= limit).tolist():
+                leaves.append((float(costs[c, d]), chosen + (lo + c, lo + d)))
+            return
+        v = reach[lo:] + half[r - 1, lo:]
+        per_pair = v.reshape(-1, 2).min(axis=1)
+        smallest = np.sort(np.partition(per_pair, r - 1)[:r]).tolist()
+        rest, last = sum(smallest[:-1]), smallest[-1]
+        if cost + rest + last > limit:
+            return
+        own_pair, v_list = per_pair.tolist(), v.tolist()
+        # Only candidates that leave r - 1 later pairs can start a subset.
+        for c in np.argsort(v[:2 * (n_pairs - r + 1) - lo], kind="stable").tolist():
+            if cost + v_list[c] + rest > limit:
+                break
+            # The other r - 1 points lie in other pairs, so they add at least
+            # the r - 1 smallest per-pair values without this pair's own.
+            own = own_pair[c // 2]
+            if own <= smallest[-2] and cost + v_list[c] + rest + last - own > limit:
+                continue
+            c += lo
+            descend(chosen + (c,), cost + reach[c], reach + dist[c], c // 2 + 1, r - 1)
 
-    chosen = [int(seed[0]), int(seed[1])]
-    used = {int(same_pair[c]) for c in chosen}
-    while len(chosen) < target_size:
-        cost = dist[:, chosen].sum(axis=1)
-        cost[[c for c in range(m) if same_pair[c] in used]] = np.inf
-        nxt = int(np.argmin(cost))
-        chosen.append(nxt)
-        used.add(int(same_pair[nxt]))
-
-    improved = True
-    passes = 0
-    while improved and passes < 20:
-        improved = False
-        passes += 1
-        for slot in range(target_size):
-            rest = chosen[:slot] + chosen[slot + 1:]
-            rest_pairs = {int(same_pair[c]) for c in rest}
-            cur_add = dist[chosen[slot], rest].sum()
-            for cand in range(m):
-                if int(same_pair[cand]) in rest_pairs or cand == chosen[slot]:
-                    continue
-                add = dist[cand, rest].sum()
-                if add < cur_add - 1e-15:
-                    chosen[slot] = cand
-                    cur_add = add
-                    improved = True
-    return [(pair_ids[int(same_pair[c])], flat[c].copy()) for c in sorted(chosen)]
+    descend((), 0.0, np.zeros(n_cand), 0, size)
+    near = [sel for c, sel in leaves if c <= limit]
+    if len(near) == 1:
+        return list(near[0])
+    idx = np.array(near)
+    iu, jv = np.triu_indices(size, 1)
+    comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)
+    ties = idx[comp == comp.min()]
+    chosen = min(ties, key=lambda sel: (_coord_key(flat[sel]), (sel // 2).tolist(), (sel % 2).tolist()))
+    return chosen.tolist()
 
 
 def select_honest_points(graph: IntersectionGraph, target_size: int) -> HonestSet:
     """Most compact choice of candidate points, at most one per anchor pair.
 
-    Minimizes the pairwise-distance sum over all admissible subsets of the
-    given size (exhaustively for the small pair counts this library targets,
-    greedily beyond that). Raises UnlocalizableError when fewer candidate
-    pairs than requested points exist or the request drops below the three
-    points needed to fix a planar position.
+    Minimizes the pairwise-distance sum exactly over all admissible subsets
+    of the given size, by one branch-and-bound search whatever the number
+    of pairs. Raises UnlocalizableError when fewer candidate pairs than
+    requested points exist or the request drops below the three points
+    needed to fix a planar position.
     """
     if target_size < 3:
         raise UnlocalizableError("fewer than 3 honest points cannot fix a planar position")
@@ -229,18 +249,9 @@ def select_honest_points(graph: IntersectionGraph, target_size: int) -> HonestSe
         raise UnlocalizableError(
             f"only {len(pair_ids)} intersecting pairs available for {target_size} honest points"
         )
-    pts = np.stack([graph.points[p] for p in pair_ids])  # (n_pairs, 2, 2)
-
-    n_subsets = 1.0
-    n_av, k = len(pair_ids), target_size
-    for t in range(k):
-        n_subsets *= (n_av - t) / (t + 1)
-    n_subsets *= 2.0 ** k
-    if n_subsets <= _EXHAUSTIVE_LIMIT:
-        selected = _select_exhaustive(pair_ids, pts, target_size)
-    else:
-        selected = _select_greedy(pair_ids, pts, target_size)
-    return HonestSet(selected=selected)
+    flat, dist = _candidate_distances(np.stack([graph.points[p] for p in pair_ids]))
+    chosen = _most_compact(flat, dist, target_size)
+    return HonestSet(selected=[(pair_ids[c // 2], flat[c].copy()) for c in chosen])
 
 
 def wcm_estimate(honest: HonestSet, d) -> np.ndarray:

@@ -155,7 +155,10 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
     follows the stop, which by quadratic convergence leaves |phi| near
     rounding. At most ``max_iter`` evaluations; the best iterate seen is
     returned with its achieved residual, in the original frame, where
-    (G + lam Q) y = g + (lam / 2) e3 holds.
+    (G + lam Q) y = g + (lam / 2) e3 holds. When phi is already negative at
+    the bracket's left end (the hard case, z_0 = 0), the root sits at the
+    pole: lam = -min s, and the free component of x along the smallest
+    eigenvector takes the length that makes y feasible, with no Newton step.
     """
     design, w = s.design, s.weights
     # Counting in a list is much cheaper than a numpy reduction at N <= 10.
@@ -195,50 +198,60 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
         return zz0 / (r0 * r0) + zz1 / (r1 * r1) - (g_alpha + 0.5 * lam) * inv_w
 
     lo = -s0 * (1.0 - 1e-9)
-    hi = 8.0 * half_trace
-    phi = phi_at(hi)
-    doublings = 0
-    while phi >= 0.0:
-        if doublings == _MAX_DOUBLINGS:
-            raise NoRootError("constraint residual never turned negative while expanding the bracket")
-        hi *= 2.0
-        doublings += 1
+    if phi_at(lo) < 0.0:
+        # Hard case: z0 = 0 (or so small that the root lies within the
+        # bracket's margin of the pole), so the multiplier is -s0 and x is free
+        # along the s0 eigenvector; the length of that component closes the
+        # constraint.
+        best_lam, iterations = -s0, 0
+        e1 = z1 / (s1 - s0) if s1 > s0 else 0.0
+        e0 = math.copysign(math.sqrt(max(0.0, (g_alpha - 0.5 * s0) * inv_w - e1 * e1)), z0)
+        best_phi = e0 * e0 + e1 * e1 - (g_alpha - 0.5 * s0) * inv_w
+    else:
+        hi = 8.0 * half_trace
         phi = phi_at(hi)
+        doublings = 0
+        while phi >= 0.0:
+            if doublings == _MAX_DOUBLINGS:
+                raise NoRootError("constraint residual never turned negative while expanding the bracket")
+            hi *= 2.0
+            doublings += 1
+            phi = phi_at(hi)
 
-    stop = tol * 2.0 * half_trace * inv_w
-    best_phi, best_lam = phi, hi
-    lam = max(0.0, -2.0 * g_alpha)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        q0, q1 = 1.0 / (s0 + lam), 1.0 / (s1 + lam)
-        t0, t1 = zz0 * q0 * q0, zz1 * q1 * q1
-        b = (g_alpha + 0.5 * lam) * inv_w
-        phi = t0 + t1 - b
-        if abs(phi) < abs(best_phi):
-            best_phi, best_lam = phi, lam
-        if converged:
-            break
-        converged = abs(phi) <= stop
-        if phi > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        # Every candidate lands at or below the root, so the largest is kept:
-        # Newton on phi (convex), Newton on psi = a^-1/2 - b^-1/2 (concave,
-        # nearly linear beside the pole) and, from the right, the root of the
-        # s0 pole term against the rest of phi, which only grows leftwards.
-        a = t0 + t1
-        dsum = t0 * q0 + t1 * q1
-        step = lam + phi / (2.0 * dsum + 0.5 * inv_w)
-        if b > 0.0 and a > 0.0:
-            step = max(step, lam - (a ** -0.5 - b ** -0.5) / (a ** -1.5 * dsum + 0.25 * inv_w * b ** -1.5))
-        if phi < 0.0:
-            step = max(step, abs(z0) / math.sqrt(b - t1) - s0)
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        stop = tol * 2.0 * half_trace * inv_w
+        best_phi, best_lam = phi, hi
+        lam = max(0.0, -2.0 * g_alpha)
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            q0, q1 = 1.0 / (s0 + lam), 1.0 / (s1 + lam)
+            t0, t1 = zz0 * q0 * q0, zz1 * q1 * q1
+            b = (g_alpha + 0.5 * lam) * inv_w
+            phi = t0 + t1 - b
+            if abs(phi) < abs(best_phi):
+                best_phi, best_lam = phi, lam
+            if converged:
+                break
+            converged = abs(phi) <= stop
+            if phi > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            # Every candidate lands at or below the root, so the largest is kept:
+            # Newton on phi (convex), Newton on psi = a^-1/2 - b^-1/2 (concave,
+            # nearly linear beside the pole) and, from the right, the root of the
+            # s0 pole term against the rest of phi, which only grows leftwards.
+            a = t0 + t1
+            dsum = t0 * q0 + t1 * q1
+            step = lam + phi / (2.0 * dsum + 0.5 * inv_w)
+            if b > 0.0 and a > 0.0:
+                step = max(step, lam - (a ** -0.5 - b ** -0.5) / (a ** -1.5 * dsum + 0.25 * inv_w * b ** -1.5))
+            if phi < 0.0:
+                step = max(step, abs(z0) / math.sqrt(b - t1) - s0)
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
+        e0, e1 = z0 / (s0 + best_lam), z1 / (s1 + best_lam)
 
     # x in the eigenbasis of S, rotated back and moved to the original frame.
-    e0, e1 = z0 / (s0 + best_lam), z1 / (s1 + best_lam)
     x0, x1 = cos_t * e1 - sin_t * e0, sin_t * e1 + cos_t * e0
     cx, cy = center.tolist()
     # alpha re-expressed in the original frame; the residual is unchanged.

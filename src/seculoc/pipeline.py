@@ -3,14 +3,13 @@
 The pipeline runs the geometric pre-filter, forms an initial estimate from
 the honest intersection points, names attackers by thresholded relative
 error, and re-solves on the surviving anchors through the exact squared-range
-solver. The bias-compensated likelihood cost of the two estimates is
-recorded, but it cannot tell them apart: the fitted per-anchor bias absorbs
-the position, so the cost of any position is the scatter of each anchor's
-samples about their mean. The tie therefore goes to the refined estimate,
-and the initial estimate is returned only when the re-solve fails. When the
-geometric pre-filter alone shrinks the network to the minimum localizable
-size, the initial estimate is skipped entirely and the refined estimate is
-returned outright.
+solver. The refined estimate is returned, and the initial estimate only
+when the re-solve fails: a bias-compensated likelihood cost could not choose
+between them, because a per-anchor bias fitted at a position absorbs that
+position, so every position scores the scatter of each anchor's samples
+about their mean. When the geometric pre-filter alone shrinks the network
+to the minimum localizable size, the initial estimate is skipped entirely
+and the refined estimate is returned outright.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ class SecureLocResult:
 
     ``x_init`` and ``detection`` are None when the geometric pre-filter
     already reduced the network to q+1 anchors and the clustering stage
-    never ran; ``costs[0]`` is None as well then. ``chose_gtrs`` is True
-    exactly when ``x_gtrs`` is set. ``delta_hat`` holds the per-anchor bias
-    estimated at the final estimate.
+    never ran. ``chose_gtrs`` is True exactly when ``x_gtrs`` is set.
+    ``delta_hat`` holds the per-anchor bias estimated at the final estimate.
     """
 
     x_final: np.ndarray
@@ -43,7 +41,6 @@ class SecureLocResult:
     x_gtrs: np.ndarray | None
     attacker_set: frozenset[int]
     delta_hat: np.ndarray
-    costs: tuple[float | None, float | None]
     chose_gtrs: bool
     detection: DetectionOutcome | None = None
 
@@ -60,22 +57,6 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
     return (m.samples - est[:, None]).mean(axis=1)
 
 
-def cost(x_est, delta_hat, m: MeasurementSet, anchors) -> float:
-    """Sum of squared sample residuals after removing the per-anchor bias.
-
-    Evaluates the likelihood cost of a candidate position over all samples of
-    all given anchors, with each anchor's estimated bias subtracted. With the
-    bias fitted at ``x_est`` by ``estimate_attack_intensity`` the cost does
-    not depend on ``x_est``; with a single sample per anchor it is
-    identically zero.
-    """
-    anchors = np.asarray(anchors, dtype=float)
-    delta_hat = np.asarray(delta_hat, dtype=float)
-    est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
-    r = m.samples - est[:, None] - delta_hat[:, None]
-    return float(np.sum(r * r))
-
-
 def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
     idx = sorted(indices)
     system = build_system(anchors[idx], d[idx])
@@ -85,11 +66,10 @@ def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
 def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureLocResult:
     """Run the full secure localization pipeline on one measurement set.
 
-    Detection and geometry consume the per-anchor sample means; the costs
-    consume every sample. The refined estimate is kept whenever its solve
-    succeeds, since the two costs always tie. Raises UnlocalizableError when
-    fewer than q+1 usable anchors or honest candidate points remain at any
-    stage.
+    Detection and geometry consume the per-anchor sample means; the bias
+    estimate consumes every sample. The refined estimate is kept whenever its
+    solve succeeds. Raises UnlocalizableError when fewer than q+1 usable
+    anchors or honest candidate points remain at any stage.
     """
     _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
@@ -104,37 +84,20 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
     # x_init is None when the pre-filter alone left q+1 anchors and the
     # clustering stage never ran.
     x_init = outcome.x_init
-    f1 = None
-    if x_init is not None:
-        delta1 = estimate_attack_intensity(x_init, m, anchors)
-        f1 = cost(x_init, delta1, m, anchors)
     try:
         x_gtrs = _gtrs_estimate(anchors, d, survivors)
     except (DegenerateGeometryError, NoRootError):
         if x_init is None:
             raise
-        return SecureLocResult(
-            x_final=x_init,
-            x_init=x_init,
-            x_gtrs=None,
-            attacker_set=attackers,
-            delta_hat=delta1,
-            costs=(f1, None),
-            chose_gtrs=False,
-            detection=outcome,
-        )
-
-    delta2 = estimate_attack_intensity(x_gtrs, m, anchors)
-    f2 = cost(x_gtrs, delta2, m, anchors)
-    # f1 and f2 agree up to rounding, so comparing them would be a coin flip.
+        x_gtrs = None
+    x_final = x_init if x_gtrs is None else x_gtrs
     return SecureLocResult(
-        x_final=x_gtrs,
+        x_final=x_final,
         x_init=x_init,
         x_gtrs=x_gtrs,
         attacker_set=attackers,
-        delta_hat=delta2,
-        costs=(f1, f2),
-        chose_gtrs=True,
+        delta_hat=estimate_attack_intensity(x_final, m, anchors),
+        chose_gtrs=x_gtrs is not None,
         detection=None if x_init is None else outcome,
     )
 

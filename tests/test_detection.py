@@ -1,6 +1,7 @@
 """Tests for seculoc.detection."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from seculoc.detection import (
     DetectionOutcome,
     HonestSet,
     IntersectionGraph,
-    _select_greedy,
     build_intersection_graph,
     detect,
     relative_errors,
@@ -106,20 +106,42 @@ class TestSelectHonestPoints:
     def test_matches_exhaustive_oracle(self):
         # Oracle: plain itertools enumeration scored by cluster_compactness.
         rng = np.random.default_rng(2)
-        for _ in range(30):
-            sc = random_scene(rng)
-            m = generate_measurements(sc, AttackSpec(frozenset({3}), 8.0), 1.0, 1, rng)
+        checked = 0
+        for n in [4] * 30 + [5] * 3:
+            sc = random_scene(rng, n=n)
+            m = generate_measurements(sc, AttackSpec(frozenset({n - 1}), 8.0), 1.0, 1, rng)
             g = build_intersection_graph(sc.anchors, reduce_samples(m))
             avail = sorted(g.points)
-            if len(avail) < 3:
-                continue
-            best = np.inf
-            for pair_combo in itertools.combinations(avail, 3):
-                for signs in itertools.product((0, 1), repeat=3):
-                    pts = [g.points[p][s] for p, s in zip(pair_combo, signs)]
-                    best = min(best, cluster_compactness(pts))
-            got = select_honest_points(g, 3)
-            assert cluster_compactness(got.points) == pytest.approx(best, abs=1e-12)
+            for size in range(3, min(5, len(avail)) + 1):
+                best = np.inf
+                for pair_combo in itertools.combinations(avail, size):
+                    for signs in itertools.product((0, 1), repeat=size):
+                        pts = [g.points[p][s] for p, s in zip(pair_combo, signs)]
+                        best = min(best, cluster_compactness(pts))
+                got = select_honest_points(g, size)
+                assert cluster_compactness(got.points) == pytest.approx(best, abs=1e-12)
+                checked += 1
+        assert checked > 60
+
+    def test_exact_above_former_enumeration_size(self):
+        # C(15, 6) * 2^6 = 320,320 (subset, sign) choices: a brute-force
+        # minimum over all of them must be met exactly.
+        anchors = np.array([[15.09, 3.05], [18.49, 3.22], [1.26, 10.1],
+                            [13.2, 1.42], [1.14, 3.42], [14.69, 12.84]])
+        d = np.array([15.08, 17.65, 5.99, 14.77, 12.37, 14.32])
+        g = build_intersection_graph(anchors, d)
+        size = 6
+        pair_ids = sorted(g.points)
+        assert len(pair_ids) == 15
+        flat = np.stack([g.points[p] for p in pair_ids]).reshape(-1, 2)
+        dist = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+        combos = np.array(list(itertools.combinations(range(len(pair_ids)), size)))
+        signs = np.array(list(itertools.product((0, 1), repeat=size)))
+        idx = (2 * combos[:, None, :] + signs[None]).reshape(-1, size)
+        iu, jv = np.triu_indices(size, 1)
+        best = dist[idx[:, iu], idx[:, jv]].sum(axis=1).min()
+        got = select_honest_points(g, size)
+        assert cluster_compactness(got.points) == pytest.approx(best, rel=1e-12)
 
     def test_excludes_far_flung_corrupted_intersections(self):
         rng = np.random.default_rng(3)
@@ -156,19 +178,44 @@ class TestSelectHonestPoints:
         with pytest.raises(UnlocalizableError):
             select_honest_points(g, 2)
 
+    def test_coincident_points_of_many_pairs(self):
+        # Exact ranges on a lattice: all 28 pairs meet exactly at the target,
+        # so C(28, 7) subsets tie at zero cost. The search stops at the first
+        # zero instead of enumerating the ties, which takes over a minute.
+        target = np.array([10.0, 10.0])
+        offsets = [(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)]
+        g = build_intersection_graph(target + np.array(offsets, dtype=float), np.full(8, 5.0))
+        start = time.perf_counter()
+        honest = select_honest_points(g, 7)
+        assert time.perf_counter() - start < 2.0
+        np.testing.assert_array_equal(honest.points, np.tile(target, (7, 1)))
+
     def test_greedy_finds_obvious_cluster(self):
         # One tight cluster plus scattered decoys, one candidate pair each.
         rng = np.random.default_rng(4)
         n_pairs, size = 12, 5
-        pair_ids = [(i, i + 1) for i in range(n_pairs)]
-        pts = np.empty((n_pairs, 2, 2))
         cluster = rng.normal(0.0, 0.01, (n_pairs, 2))
         decoys = rng.uniform(20, 60, (n_pairs, 2)) * rng.choice([-1, 1], (n_pairs, 2))
-        pts[:, 0, :] = cluster
-        pts[:, 1, :] = decoys
-        chosen = _select_greedy(pair_ids, pts, size)
-        got = np.array([p for _, p in chosen])
-        assert np.abs(got).max() < 0.1
+        g = IntersectionGraph(
+            n_anchors=n_pairs + 1,
+            points={(i, i + 1): np.stack([cluster[i], decoys[i]]) for i in range(n_pairs)},
+            disjoint_pairs=frozenset(),
+            geometric_flags=frozenset(),
+        )
+        got = select_honest_points(g, size)
+        assert np.abs(got.points).max() < 0.1
+
+
+class TestIntersectionGraph:
+    def test_restriction_keeps_the_index_space(self):
+        d = square_distances()
+        d[0] = 1.9  # circle 0 contains circles 1 and 3
+        g = build_intersection_graph(SQUARE, d)
+        sub = g.restricted_to({0, 2, 3})
+        assert sub.n_anchors == g.n_anchors == 4
+        assert set(sub.points) == {(0, 2), (2, 3)}
+        assert sub.disjoint_pairs == {(0, 3)}
+        assert all(j < sub.n_anchors for i, j in [*sub.points, *sub.disjoint_pairs])
 
 
 class TestWcmEstimate:

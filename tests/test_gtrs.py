@@ -178,6 +178,27 @@ class TestSolve:
                 )
                 np.testing.assert_allclose(sol.y, y, rtol=1e-8, atol=1e-8)
 
+    def test_hard_case_lands_on_the_circle_of_optima(self):
+        # A 4 m square with every range 10 m: the gradient has no component
+        # on the scatter eigenvectors and phi stays negative up to the pole,
+        # so the optima form a circle about the centroid.
+        anchors = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+        s = build_system(anchors, np.full(4, 10.0))
+        sol = solve(s)
+        # The solver's stop: tol times the weighted mean squared distance of
+        # the anchors from their centroid (8 m^2).
+        assert abs(sol.phi_residual) <= 1e-10 * 8.0
+        assert sol.iterations < 100
+        assert sol.y[2] == pytest.approx(sol.x @ sol.x, rel=1e-12)
+        # Best feasible value over a fine polar grid about the centroid.
+        radius = np.linspace(0.0, 15.0, 3001)[:, None]
+        angle = np.linspace(0.0, 2.0 * np.pi, 73)[None, :]
+        x = np.stack([2.0 + radius * np.cos(angle), 2.0 + radius * np.sin(angle)], axis=-1).reshape(-1, 2)
+        feasible = np.column_stack([x, (x * x).sum(axis=1)])
+        best = (s.weights * (feasible @ s.design.T - s.rhs) ** 2).sum(axis=1).min()
+        assert objective(s, sol.y) <= best
+        assert np.linalg.norm(sol.x - 2.0) == pytest.approx(math.sqrt(84.0), rel=1e-9)
+
     def test_nonstandard_design_rejected(self):
         s = GtrsSystem(design=math.sqrt(3.0) * np.eye(3), rhs=np.ones(3), weights=np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="standard"):

@@ -7,7 +7,6 @@ import seculoc.pipeline
 from seculoc.errors import NoRootError, UnlocalizableError
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 from seculoc.pipeline import (
-    cost,
     estimate_attack_intensity,
     locate_no_detection,
     locate_perfect_detection,
@@ -57,43 +56,6 @@ class TestAttackIntensity:
             assert got[i] == pytest.approx(want, rel=1e-12)
 
 
-class TestCost:
-    def test_zero_at_exact_estimate_and_bias(self):
-        m = noiseless(AttackSpec(frozenset({1}), 4.0), k=3)
-        delta = estimate_attack_intensity(TARGET, m, ANCHORS)
-        assert cost(TARGET, delta, m, ANCHORS) == pytest.approx(0.0, abs=1e-20)
-
-    def test_single_sample_identity(self):
-        # With one sample per anchor the fitted bias absorbs the residual exactly.
-        rng = np.random.default_rng(2)
-        m = MeasurementSet(samples=rng.uniform(2, 30, (4, 1)), sigma=1.0)
-        x = rng.uniform(0, 20, 2)
-        delta = estimate_attack_intensity(x, m, ANCHORS)
-        assert cost(x, delta, m, ANCHORS) == 0.0
-
-    def test_independent_of_position_with_fitted_bias(self):
-        # The fitted bias absorbs the position: the cost is the scatter of
-        # each anchor's samples about their own mean.
-        rng = np.random.default_rng(6)
-        m = MeasurementSet(samples=rng.uniform(2, 30, (4, 10)), sigma=1.0)
-        scatter = float(((m.samples - m.samples.mean(axis=1, keepdims=True)) ** 2).sum())
-        for x in rng.uniform(-50, 70, (20, 2)):
-            delta = estimate_attack_intensity(x, m, ANCHORS)
-            assert cost(x, delta, m, ANCHORS) == pytest.approx(scatter, rel=1e-9)
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        m = MeasurementSet(samples=rng.uniform(2, 30, (4, 10)), sigma=1.0)
-        x = rng.uniform(0, 20, 2)
-        delta = rng.normal(0, 1, 4)
-        want = 0.0
-        for i in range(4):
-            t = np.linalg.norm(x - ANCHORS[i])
-            for k in range(10):
-                want += (m.samples[i, k] - t - delta[i]) ** 2
-        assert cost(x, delta, m, ANCHORS) == pytest.approx(want, rel=1e-12)
-
-
 class TestLocateSecure:
     def test_benign_noiseless_recovers_target(self):
         res = locate_secure(ANCHORS, noiseless(), 0.3)
@@ -123,7 +85,6 @@ class TestLocateSecure:
         res = locate_secure(ANCHORS, m, 0.3)
         assert res.attacker_set == frozenset({2})
         assert res.x_init is None
-        assert res.costs[0] is None
         assert res.chose_gtrs
         assert np.linalg.norm(res.x_final - TARGET) < 1e-6
 
@@ -136,7 +97,6 @@ class TestLocateSecure:
         assert res.x_init is not None and res.x_gtrs is None
         assert res.x_final is res.x_init
         assert not res.chose_gtrs
-        assert res.costs[1] is None
         # Without an initial estimate there is nothing to fall back to.
         d = np.linalg.norm(ANCHORS - TARGET, axis=1)
         samples = d[:, None].repeat(2, axis=1)
