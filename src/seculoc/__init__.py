@@ -12,7 +12,7 @@ Library layout:
 - ``campaign``: seeded Monte Carlo campaigns and CSV emission
 """
 
-from .baseline import GlrtConfig, glrt_detect, glrt_threshold, wls_locate
+from .baseline import GlrtConfig, estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
 from .bounds import DetectionBounds, ErrorStats, detection_bounds, prob_abs_leq, prob_abs_less, q_function
 from .campaign import CampaignConfig, CampaignStats, MethodDeltaStats, emit_csv, run_campaign
 from .detection import (
@@ -38,7 +38,6 @@ from .measurement import (
 )
 from .pipeline import (
     SecureLocResult,
-    estimate_attack_intensity,
     locate_no_detection,
     locate_perfect_detection,
     locate_secure,

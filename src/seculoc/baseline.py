@@ -19,7 +19,6 @@ from scipy.special import ndtri
 
 from .gtrs import build_system
 from .measurement import MeasurementSet
-from .pipeline import estimate_attack_intensity
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,18 @@ def wls_locate(anchors, d) -> np.ndarray:
     gram = system.gram()
     y = np.linalg.solve(gram, system.gram_rhs())
     return y[:2]
+
+
+def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
+    """Per-anchor mean residual of the samples against an assumed position.
+
+    This is the maximum-likelihood estimate of a constant additive bias on
+    each anchor's samples; honest anchors yield values near zero, possibly
+    negative through noise.
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
+    return (m.samples - est[:, None]).mean(axis=1)
 
 
 def glrt_threshold(cfg: GlrtConfig) -> float:

@@ -18,6 +18,8 @@ measured and re-estimated ranges to name attackers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,11 +149,37 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
 def _candidate_distances(pts: np.ndarray):
     """Flatten (n_pairs, 2, 2) candidates to index 2*pair + sign, with all pairwise distances."""
     flat = pts.reshape(-1, 2)
-    return flat, np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
+    dx = flat[:, 0, None] - flat[None, :, 0]
+    dy = flat[:, 1, None] - flat[None, :, 1]
+    return flat, np.sqrt(dx * dx + dy * dy)
 
 
 def _coord_key(points: np.ndarray) -> tuple:
     return tuple(sorted(map(tuple, np.round(points, 12))))
+
+
+# Three remaining points are scored in one array step when they come from at
+# most this many open pairs, 8 * C(8, 3) = 448 triples; over more pairs the
+# branch and bound prunes faster than the array step scores.
+_CLOSING_PAIRS = 8
+
+
+@functools.cache
+def _subsets(n_open: int, r: int) -> tuple[np.ndarray, ...]:
+    """Every choice of r of n_open pairs, one candidate each, as r index columns.
+
+    Column k holds the k-th candidate (offset 2*pair + sign) of each choice.
+    The cache keeps one table per open-pair count and r; for two points
+    that is 4 * C(n_open, 2) rows, under 1 MB over all counts up to ten
+    anchors.
+    """
+    pairs = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
+    signs = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.intp)
+    table = (2 * pairs[:, None, :] + signs).reshape(-1, r)
+    columns = tuple(np.ascontiguousarray(table[:, k]) for k in range(r))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
@@ -163,50 +191,59 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     for each of those points, its summed distance to the chosen points and
     half the sum of its r - 1 smallest distances to candidates of other
     pairs; per pair the cheaper sign counts, and the r smallest values over
-    the pairs after the last one chosen are added. A node is pruned only when
-    its bound exceeds the incumbent by more than 1e-9 relative, so every leaf
-    that ties the optimum up to rounding survives. Survivors are re-scored by
-    one gather-and-sum and exact ties broken on the sorted coordinates, then
-    on (pairs, signs) in lexicographic order. The exception is a cost of
-    exactly zero, which nothing beats: the search stops there, and the tie
-    break runs over the zero-cost leaves found up to that point.
+    the pairs after the last one chosen are added. The search closes in one
+    array step that scores every completion of a node: always with two
+    points left, and with three left from at most ``_CLOSING_PAIRS`` open
+    pairs, which at four anchors is the root itself. A node is pruned only
+    when its bound exceeds the incumbent by more than 1e-9 relative, so every
+    leaf that ties the optimum up to rounding survives. Survivors are
+    re-scored by one gather-and-sum and exact ties broken on the sorted
+    coordinates, then on (pairs, signs) in lexicographic order. The exception
+    is a cost of exactly zero, which nothing beats: the search stops there,
+    and the tie break runs over the zero-cost leaves found up to that point.
     """
     n_cand = dist.shape[0]
     n_pairs = n_cand // 2
-    pair_of = np.arange(n_cand) // 2
-    nearest = np.sort(np.where(pair_of[:, None] == pair_of[None, :], np.inf, dist), axis=1)
-    # half[r - 1, c]: half the sum of c's r - 1 smallest distances to other pairs.
-    half = np.zeros((size, n_cand))
-    half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
-    later = pair_of[:, None] < pair_of[None, :]
     limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
     leaves: list[tuple[float, tuple[int, ...]]] = []
 
+    def few_open(first: int) -> bool:
+        return n_pairs - first <= _CLOSING_PAIRS
+
+    def close(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
+        # Every completion by r candidates of pairs from `first` on, at once.
+        nonlocal limit
+        lo = 2 * first
+        cols = _subsets(n_pairs - first, r)
+        tail_dist = dist[lo:, lo:]
+        costs = cost + sum(tail_dist[cols[j], cols[k]] for j, k in itertools.combinations(range(r), 2))
+        if chosen:  # reach is zero at the root
+            costs += sum(reach[lo:][col] for col in cols)
+        lowest = float(costs.min())
+        if lowest > limit:
+            return
+        limit = min(limit, lowest + 1e-9 * lowest)
+        for i in np.flatnonzero(costs <= limit).tolist():
+            leaves.append((float(costs[i]), chosen + tuple(lo + int(col[i]) for col in cols)))
+
     def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
         # reach[c]: summed distance from candidate c to the chosen candidates.
-        nonlocal limit
         if limit == 0.0:
             # No cost beats an exact zero, and searching for its exact ties
             # (coincident points of many pairs) would enumerate them all.
             return
-        lo = 2 * first
         if r == 2:
-            # Both remaining points at once: c, then d of a later pair.
-            tail = reach[lo:]
-            costs = np.where(later[lo:, lo:], dist[lo:, lo:] + tail[:, None] + tail[None, :], np.inf)
-            costs += cost
-            lowest = float(costs.min())
-            if lowest > limit:
-                return
-            limit = min(limit, lowest + 1e-9 * lowest)
-            for c, d in np.argwhere(costs <= limit).tolist():
-                leaves.append((float(costs[c, d]), chosen + (lo + c, lo + d)))
+            close(chosen, cost, reach, first, r)
             return
+        lo = 2 * first
         v = reach[lo:] + half[r - 1, lo:]
         per_pair = v.reshape(-1, 2).min(axis=1)
         smallest = np.sort(np.partition(per_pair, r - 1)[:r]).tolist()
         rest, last = sum(smallest[:-1]), smallest[-1]
         if cost + rest + last > limit:
+            return
+        if r == 3 and few_open(first):
+            close(chosen, cost, reach, first, r)
             return
         own_pair, v_list = per_pair.tolist(), v.tolist()
         # Only candidates that leave r - 1 later pairs can start a subset.
@@ -221,7 +258,17 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
             c += lo
             descend(chosen + (c,), cost + reach[c], reach + dist[c], c // 2 + 1, r - 1)
 
-    descend((), 0.0, np.zeros(n_cand), 0, size)
+    if size == 3 and few_open(0):
+        # The root closes at once (every request at four anchors), so the
+        # bound tables, which only interior nodes read, are not built.
+        close((), 0.0, np.zeros(n_cand), 0, size)
+    else:
+        pair_of = np.arange(n_cand) // 2
+        nearest = np.sort(np.where(pair_of[:, None] == pair_of[None, :], np.inf, dist), axis=1)
+        # half[r - 1, c]: half the sum of c's r - 1 smallest distances to other pairs.
+        half = np.zeros((size, n_cand))
+        half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
+        descend((), 0.0, np.zeros(n_cand), 0, size)
     near = [sel for c, sel in leaves if c <= limit]
     if len(near) == 1:
         return list(near[0])

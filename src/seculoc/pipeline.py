@@ -33,28 +33,14 @@ class SecureLocResult:
     ``x_init`` and ``detection`` are None when the geometric pre-filter
     already reduced the network to q+1 anchors and the clustering stage
     never ran. ``chose_gtrs`` is True exactly when ``x_gtrs`` is set.
-    ``delta_hat`` holds the per-anchor bias estimated at the final estimate.
     """
 
     x_final: np.ndarray
     x_init: np.ndarray | None
     x_gtrs: np.ndarray | None
     attacker_set: frozenset[int]
-    delta_hat: np.ndarray
     chose_gtrs: bool
     detection: DetectionOutcome | None = None
-
-
-def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
-    """Per-anchor mean residual of the samples against an assumed position.
-
-    This is the maximum-likelihood estimate of a constant additive bias on
-    each anchor's samples; honest anchors yield values near zero, possibly
-    negative through noise.
-    """
-    anchors = np.asarray(anchors, dtype=float)
-    est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
-    return (m.samples - est[:, None]).mean(axis=1)
 
 
 def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
@@ -66,9 +52,8 @@ def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
 def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureLocResult:
     """Run the full secure localization pipeline on one measurement set.
 
-    Detection and geometry consume the per-anchor sample means; the bias
-    estimate consumes every sample. The refined estimate is kept whenever its
-    solve succeeds. Raises UnlocalizableError when fewer than q+1 usable
+    Detection and geometry consume the per-anchor sample means. The refined
+    estimate is kept whenever its solve succeeds. Raises UnlocalizableError when fewer than q+1 usable
     anchors or honest candidate points remain at any stage.
     """
     _check_parameters(tau, q)
@@ -96,7 +81,6 @@ def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureL
         x_init=x_init,
         x_gtrs=x_gtrs,
         attacker_set=attackers,
-        delta_hat=estimate_attack_intensity(x_final, m, anchors),
         chose_gtrs=x_gtrs is not None,
         detection=None if x_init is None else outcome,
     )

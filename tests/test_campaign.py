@@ -1,11 +1,15 @@
 """Tests for seculoc.campaign."""
 
+import ast
 import csv
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seculoc.campaign import (
+    METHOD_NAMES,
     CampaignConfig,
     CampaignStats,
     MethodDeltaStats,
@@ -111,6 +115,50 @@ class TestRunCampaign:
         )
         run_campaign(cfg)
         assert sorted(calls) == sorted(names)
+
+    def test_every_traced_name_is_called_through_its_calling_module(self, monkeypatch, tmp_path):
+        # The benchmark's trace plan (benchmarks/spans.py) wraps library
+        # functions where their caller looks them up. A name that stops being
+        # called there records nothing and fails only the traced run, so each
+        # one is patched here and must run in a one-deployment campaign (or,
+        # for the locate-mixed entry point, one direct call).
+        import importlib
+
+        import seculoc.cli
+        import seculoc.pipeline
+        from seculoc.measurement import AttackSpec, Scene, generate_measurements
+
+        plan = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+        names = set()
+        for node in ast.walk(ast.parse(plan.read_text())):
+            args = node.elts if isinstance(node, ast.Tuple) else node.args if isinstance(node, ast.Call) else []
+            strings = [a.value for a in args[:2] if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if len(strings) == 2 and strings[0].startswith("seculoc."):
+                names.add(tuple(strings))
+        assert {
+            ("seculoc.pipeline", "build_intersection_graph"), ("seculoc.pipeline", "build_system"),
+            ("seculoc.pipeline", "solve"), ("seculoc.detection", "select_honest_points"),
+            ("seculoc.detection", "classify_pair"), ("seculoc.detection", "intersect_circles"),
+            ("seculoc.baseline", "build_system"),
+        } <= names
+        calls = dict.fromkeys(names, 0)
+        for module_name, attr in names:
+            module = importlib.import_module(module_name)
+
+            def counted(*args, _f=getattr(module, attr), _key=(module_name, attr), **kwargs):
+                calls[_key] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+        argv = ["rmse", "--methods", ",".join(METHOD_NAMES), "--n-deployments", "1",
+                "--n-corruptions", "1", "--delta-grid", "5", "--threads", "1",
+                "--out", str(tmp_path / "c.csv")]
+        assert seculoc.cli.main(argv) == 0
+        anchors = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]])
+        rng = np.random.default_rng(0)
+        m = generate_measurements(Scene(np.array([8.0, 11.0]), anchors), AttackSpec(), 1.0, 10, rng)
+        seculoc.pipeline.locate_secure(anchors, m, 0.3)
+        assert [name for name, n in calls.items() if n == 0] == []
 
     def test_benchmark_ordering_under_strong_attack(self):
         cfg = CampaignConfig(

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from seculoc import detection
 from seculoc.detection import (
     DetectionOutcome,
     HonestSet,
@@ -204,6 +205,119 @@ class TestSelectHonestPoints:
         )
         got = select_honest_points(g, size)
         assert np.abs(got.points).max() < 0.1
+
+
+def brute_force_selection(g, size):
+    """Most compact choice by enumeration, under the selector's tie-break.
+
+    Every choice is scored by the same gather-and-sum over one distance
+    matrix; exact ties go to the sorted rounded coordinates, then to
+    (pairs, signs) in lexicographic order.
+    """
+    pair_ids = sorted(g.points)
+    flat = np.stack([g.points[p] for p in pair_ids]).reshape(-1, 2)
+    dist = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+    iu, jv = np.triu_indices(size, 1)
+    best = None
+    for combo in itertools.combinations(range(len(pair_ids)), size):
+        for signs in itertools.product((0, 1), repeat=size):
+            sel = np.array([2 * p + s for p, s in zip(combo, signs)])
+            key = (dist[sel[iu], sel[jv]].sum(), sorted(map(tuple, np.round(flat[sel], 12))), combo, signs)
+            if best is None or key < best[0]:
+                best = (key, sel)
+    return [pair_ids[c // 2] for c in best[1]], flat[best[1]]
+
+
+def clustered_candidates(rng, n_pairs, spread):
+    """One candidate per pair near (10, 10), the other anywhere, in random sign order."""
+    points = np.stack([rng.normal(10.0, spread, (n_pairs, 2)), rng.uniform(0, 20, (n_pairs, 2))], axis=1)
+    flip = rng.random(n_pairs) < 0.5
+    points[flip] = points[flip, ::-1]
+    return points
+
+
+def graph_of(points):
+    """Intersection graph holding the given (n_pairs, 2, 2) candidates, one anchor pair each."""
+    return IntersectionGraph(
+        n_anchors=len(points) + 1,
+        points={(i, i + 1): np.asarray(p, dtype=float) for i, p in enumerate(points)},
+        disjoint_pairs=frozenset(),
+        geometric_flags=frozenset(),
+    )
+
+
+class TestClosingStep:
+    """Three points from at most eight pairs are scored in one array step."""
+
+    @pytest.fixture
+    def subsets(self, monkeypatch):
+        calls = []
+        original = detection._subsets
+
+        def spy(n_open, r):
+            calls.append((n_open, r))
+            return original(n_open, r)
+
+        monkeypatch.setattr(detection, "_subsets", spy)
+        return calls
+
+    def check(self, g, subsets, array_step=True):
+        subsets.clear()
+        got = select_honest_points(g, 3)
+        pairs, points = brute_force_selection(g, 3)
+        assert got.pairs == pairs
+        np.testing.assert_array_equal(got.points, points)
+        assert ((len(g.points), 3) in subsets) == array_step
+
+    def test_random_candidates_two_to_eight_pairs(self, subsets):
+        rng = np.random.default_rng(11)
+        with pytest.raises(UnlocalizableError):
+            select_honest_points(graph_of(rng.uniform(0, 20, (2, 2, 2))), 3)
+        for n_pairs in range(3, 9):
+            for _ in range(15):
+                points = clustered_candidates(rng, n_pairs, rng.uniform(0.01, 3.0))
+                self.check(graph_of(points), subsets)
+
+    def test_random_scenes(self, subsets):
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(4, 6))
+            sc = random_scene(rng, n=n)
+            m = generate_measurements(sc, AttackSpec(frozenset({0}), 5.0), 1.0, 1, rng)
+            g = build_intersection_graph(sc.anchors, reduce_samples(m))
+            if not 3 <= len(g.points) <= 8:
+                continue
+            self.check(g, subsets)
+            checked += 1
+
+    def test_exact_tie_lattice(self, subsets):
+        # Exact ranges: every pair meets exactly at the target, so every
+        # choice of three pairs ties at cost zero.
+        target = np.array([10.0, 10.0])
+        offsets = np.array([(3, 4), (-3, 4), (4, -3), (-4, -3), (4, 3)], dtype=float)
+        for n in (4, 5):
+            g = build_intersection_graph(target + offsets[:n], np.full(n, 5.0))
+            for keep in itertools.combinations(sorted(g.points), min(len(g.points), 8)):
+                sub = IntersectionGraph(n, {p: g.points[p] for p in keep}, frozenset(), frozenset())
+                self.check(sub, subsets)
+                np.testing.assert_array_equal(select_honest_points(sub, 3).points, np.tile(target, (3, 1)))
+
+    def test_zero_cost_clusters_break_ties_on_coordinates(self, subsets):
+        # Pairs 0-2 meet exactly at (10, 10), pairs 3-5 exactly at (5, 5):
+        # both triples cost zero, and the smaller coordinates win.
+        rng = np.random.default_rng(13)
+        far = rng.uniform(15, 20, (6, 2))
+        meet = [(10.0, 10.0)] * 3 + [(5.0, 5.0)] * 3
+        g = graph_of(np.stack([np.array(meet), far], axis=1))
+        self.check(g, subsets)
+        assert select_honest_points(g, 3).pairs == [(3, 4), (4, 5), (5, 6)]
+
+    def test_nine_pairs_use_the_branch_and_bound(self, subsets):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            self.check(graph_of(clustered_candidates(rng, 9, 1.0)), subsets, array_step=False)
+            assert all(r == 2 for _, r in subsets)
 
 
 class TestIntersectionGraph:

@@ -149,3 +149,14 @@ class TestReductions:
     def test_median_empty_raises(self):
         with pytest.raises(ValueError):
             median_distance([])
+
+    def test_median_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 12):
+            for _ in range(200):
+                d = rng.uniform(0.1, 50, n) * 10.0 ** rng.integers(-3, 5)
+                got = median_distance(d)
+                assert type(got) is float
+                assert got == float(np.median(d))
+        with pytest.raises(ValueError):
+            median_distance(np.array([]))

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 import seculoc.pipeline
+from seculoc.baseline import estimate_attack_intensity
 from seculoc.errors import NoRootError, UnlocalizableError
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
-from seculoc.pipeline import (
-    estimate_attack_intensity,
-    locate_no_detection,
-    locate_perfect_detection,
-    locate_secure,
-)
+from seculoc.pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
 ANCHORS = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]])
 TARGET = np.array([8.0, 11.0])
