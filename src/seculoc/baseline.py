@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from .gtrs import build_system
+from .geometry import distances_to
+from .gtrs import _centred_moments, build_system
 from .measurement import MeasurementSet
 
 
@@ -46,9 +47,12 @@ def wls_locate(anchors, d) -> np.ndarray:
     the squared norm. Raises DegenerateGeometryError on collinear anchors.
     """
     system = build_system(anchors, d)
-    gram = system.gram()
-    y = np.linalg.solve(gram, system.gram_rhs())
-    return y[:2]
+    # Centred on the weighted centroid c, the lifted coordinate decouples and
+    # the normal equations reduce to x = c - M^-1 g / 2, with M and g the
+    # centred scatter and right-hand-side moments.
+    _, (cx, cy), (sxx, sxy, syy), (gx, gy), _ = _centred_moments(system)
+    det = sxx * syy - sxy * sxy
+    return np.array([cx - 0.5 * (syy * gx - sxy * gy) / det, cy - 0.5 * (sxx * gy - sxy * gx) / det])
 
 
 def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
@@ -58,9 +62,8 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
     each anchor's samples; honest anchors yield values near zero, possibly
     negative through noise.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
-    return (m.samples - est[:, None]).mean(axis=1)
+    est = distances_to(np.asarray(anchors, dtype=float).tolist(), np.asarray(x_est, dtype=float).tolist())
+    return (m.samples - np.array(est)[:, None]).mean(axis=1)
 
 
 def glrt_threshold(cfg: GlrtConfig) -> float:
@@ -70,7 +73,7 @@ def glrt_threshold(cfg: GlrtConfig) -> float:
     anchor has std sigma/sqrt(K), so exceeding the threshold under the
     no-attack hypothesis happens with probability p_fa.
     """
-    q_inv = float(ndtri(1.0 - cfg.p_fa))
+    q_inv = NormalDist().inv_cdf(1.0 - cfg.p_fa)
     return cfg.sigma * q_inv / math.sqrt(cfg.k_samples)
 
 
@@ -78,4 +81,4 @@ def glrt_detect(x_wls, m: MeasurementSet, anchors, cfg: GlrtConfig) -> frozenset
     """Flag anchors whose estimated bias exceeds the calibrated threshold."""
     delta_hat = estimate_attack_intensity(x_wls, m, anchors)
     thresh = glrt_threshold(cfg)
-    return frozenset(int(i) for i in np.flatnonzero(delta_hat > thresh))
+    return frozenset(i for i, v in enumerate(delta_hat.tolist()) if v > thresh)

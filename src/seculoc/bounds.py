@@ -14,21 +14,24 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _q(z: float) -> float:
+    return 0.5 * math.erfc(z / _SQRT2)
 
 
 def q_function(z):
     """Gaussian upper-tail probability Q(z) = P(Z > z) for standard normal Z.
 
-    Accepts scalars or arrays; evaluated through the complementary error
-    function, accurate to well below 1e-12 over |z| <= 8.
+    Accepts scalars or arrays; evaluated element by element through the
+    complementary error function, accurate to well below 1e-12 over |z| <= 8.
     """
-    out = 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(out)
-    return out
+    if np.ndim(z) == 0:
+        return _q(float(z))
+    z = np.asarray(z, dtype=float)
+    return np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def prob_abs_leq(tau: float, mu: float, sigma: float) -> float:
@@ -37,7 +40,7 @@ def prob_abs_leq(tau: float, mu: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    p = 1.0 - (q_function((tau + mu) / sigma) + q_function((tau - mu) / sigma))
+    p = 1.0 - (_q((tau + mu) / sigma) + _q((tau - mu) / sigma))
     return min(1.0, max(0.0, p))
 
 
@@ -51,10 +54,7 @@ def prob_abs_less(mu_a: float, mu_i: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     rot_a = (mu_a - mu_i) / _SQRT2
     rot_i = (mu_a + mu_i) / _SQRT2
-    p = (
-        q_function(rot_a / sigma) * q_function(-rot_i / sigma)
-        + q_function(-rot_a / sigma) * q_function(rot_i / sigma)
-    )
+    p = _q(rot_a / sigma) * _q(-rot_i / sigma) + _q(-rot_a / sigma) * _q(rot_i / sigma)
     return min(1.0, max(0.0, p))
 
 
@@ -102,28 +102,25 @@ def detection_bounds(s: ErrorStats) -> DetectionBounds:
     clamped to [0, 1] after floating arithmetic.
     """
     a = s.attacker_index
-    mu_a = float(s.mu[a])
-    others = np.delete(s.mu, a)
-    rot_a = (mu_a - others) / _SQRT2
-    rot_i = (mu_a + others) / _SQRT2
-    # Every Q value in one call, laid out as the blocks unpacked below; the
-    # per-element arithmetic is that of prob_abs_less and prob_abs_leq.
-    z = np.concatenate(([s.tau + mu_a, s.tau - mu_a], rot_a, -rot_i, -rot_a, rot_i,
-                        s.tau + others, s.tau - others)) / s.sigma_y
-    q_tail = q_function(z)
-    q_pairs = q_tail[2:].reshape(6, others.size)
-
-    p_exceed = float(q_tail[0] + q_tail[1])
+    mu = s.mu.tolist()
+    mu_a, sigma, tau = mu[a], s.sigma_y, s.tau
+    p_exceed = _q((tau + mu_a) / sigma) + _q((tau - mu_a) / sigma)
     up_d = min(1.0, max(0.0, p_exceed))
 
+    # Per honest anchor, the arithmetic of prob_abs_less and prob_abs_leq.
+    less, leq = [], []
+    for mu_i in mu[:a] + mu[a + 1:]:
+        rot_a = (mu_a - mu_i) / _SQRT2 / sigma
+        rot_i = (mu_a + mu_i) / _SQRT2 / sigma
+        less.append(min(1.0, max(0.0, _q(rot_a) * _q(-rot_i) + _q(-rot_a) * _q(rot_i))))
+        leq.append(min(1.0, max(0.0, 1.0 - (_q((tau + mu_i) / sigma) + _q((tau - mu_i) / sigma)))))
+
     # Union bound: 1 - sum_i P(|y_a| < |y_i|) - P(|y_a| <= tau).
-    less = np.clip(q_pairs[0] * q_pairs[1] + q_pairs[2] * q_pairs[3], 0.0, 1.0)
-    lpd1 = 1.0 - sum(less.tolist())
+    lpd1 = 1.0 - sum(less)
     lpd1 -= min(1.0, max(0.0, 1.0 - p_exceed))
     lpd1 = min(1.0, max(0.0, lpd1))
 
-    leq = np.clip(1.0 - (q_pairs[4] + q_pairs[5]), 0.0, 1.0)
-    lpd2 = math.prod(leq.tolist(), start=p_exceed)
+    lpd2 = math.prod(leq, start=p_exceed)
     lpd2 = min(1.0, max(0.0, lpd2))
 
     return DetectionBounds(lpd1=lpd1, lpd2=lpd2, lp_d=max(lpd1, lpd2), up_d=up_d)

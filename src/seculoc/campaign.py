@@ -32,6 +32,7 @@ import numpy as np
 from .baseline import GlrtConfig, glrt_detect, wls_locate
 from .bounds import ErrorStats, detection_bounds
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
+from .geometry import distances_to
 from .measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
 from .pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
@@ -214,11 +215,11 @@ def _trial_bounds(scene, attack_set, delta, x_init, mset, cfg):
     m_d = median_distance(d_bar)
     if m_d <= 0:
         return None
-    est = np.linalg.norm(scene.anchors - x_init, axis=1)
-    mu = scene.true_distances().copy()
+    anchors = scene.anchors.tolist()
+    mu = distances_to(anchors, scene.target.tolist())
     attacker = next(iter(attack_set))
     mu[attacker] += delta
-    mu = (mu - est) / m_d
+    mu = [(t - e) / m_d for t, e in zip(mu, distances_to(anchors, x_init.tolist()))]
     sigma_y = cfg.sigma / (math.sqrt(cfg.k_samples) * m_d)
     stats = ErrorStats(mu=mu, sigma_y=sigma_y, attacker_index=attacker, tau=cfg.tau)
     return detection_bounds(stats)
@@ -249,8 +250,9 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
         cell[_EXCLUDED] += 1
         return
 
-    diff = x_hat - scene.target
-    cell[_SQERR] += float(diff @ diff)
+    (x, y), (tx, ty) = x_hat.tolist(), scene.target.tolist()
+    dx, dy = x - tx, y - ty
+    cell[_SQERR] += dx * dx + dy * dy
     cell[_OK] += 1
     if detected is not None:
         if cfg.attackers_per_trial == 1:

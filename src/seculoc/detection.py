@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnlocalizableError
-from .geometry import Circle, CircleRelation, classify_pair, intersect_circles
+from .geometry import Circle, CircleRelation, classify_pair, distances_to, intersect_circles
 from .measurement import median_distance
 
 @dataclass
@@ -100,7 +100,7 @@ class DetectionOutcome:
 
 
 def build_intersection_graph(anchors, d) -> IntersectionGraph:
-    """Classify all circle pairs and collect their intersection points.
+    """Intersect all circle pairs; classify the pairs that do not meet.
 
     An anchor is flagged corrupted when its circle strictly contains every
     other circle: no radius enlargement could ever have produced such a
@@ -113,25 +113,26 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
         raise ValueError("detection needs at least 4 anchors")
     if d.shape != (n,):
         raise ValueError("one distance per anchor required")
-    circles = [Circle(float(a[0]), float(a[1]), float(r)) for a, r in zip(anchors, d)]
+    circles = [Circle(x, y, r) for (x, y), r in zip(anchors.tolist(), d.tolist())]
 
     points: dict[tuple[int, int], np.ndarray] = {}
     disjoint = set()
+    # Only disjoint pairs need their relation, for the containment flags.
     relations: dict[tuple[int, int], CircleRelation] = {}
     for i in range(n - 1):
         for j in range(i + 1, n):
-            rel = classify_pair(circles[i], circles[j])
-            relations[(i, j)] = rel
-            if rel in (CircleRelation.INTERSECTING, CircleRelation.TANGENT):
-                points[(i, j)] = intersect_circles(circles[i], circles[j])
+            meet = intersect_circles(circles[i], circles[j])
+            if meet is not None:
+                points[(i, j)] = meet
             else:
                 disjoint.add((i, j))
+                relations[(i, j)] = classify_pair(circles[i], circles[j])
 
     def contains_all(i: int) -> bool:
         for j in range(n):
             if j == i:
                 continue
-            rel = relations[(i, j)] if i < j else relations[(j, i)]
+            rel = relations.get((i, j) if i < j else (j, i))
             wanted = (
                 CircleRelation.FIRST_CONTAINS_SECOND if i < j
                 else CircleRelation.SECOND_CONTAINS_FIRST
@@ -182,6 +183,21 @@ def _subsets(n_open: int, r: int) -> tuple[np.ndarray, ...]:
     return columns
 
 
+def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
+    """Zero-cost choice under the selector's tie rule, without enumerating ties.
+
+    A choice costs exactly zero when its points coincide, so the candidates
+    are grouped by exact coordinates. Within a group the smallest ``size``
+    pairs win, each by its smaller sign at that point; across groups the
+    sorted rounded coordinates decide, then the pairs, then the signs.
+    """
+    groups: dict[tuple[float, float], dict[int, int]] = {}
+    for c, point in enumerate(map(tuple, flat.tolist())):
+        groups.setdefault(point, {}).setdefault(c // 2, c)
+    choices = [list(by_pair.values())[:size] for by_pair in groups.values() if len(by_pair) >= size]
+    return min(choices, key=lambda sel: (_coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]))
+
+
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
@@ -198,9 +214,10 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     when its bound exceeds the incumbent by more than 1e-9 relative, so every
     leaf that ties the optimum up to rounding survives. Survivors are
     re-scored by one gather-and-sum and exact ties broken on the sorted
-    coordinates, then on (pairs, signs) in lexicographic order. The exception
-    is a cost of exactly zero, which nothing beats: the search stops there,
-    and the tie break runs over the zero-cost leaves found up to that point.
+    coordinates, then on (pairs, signs) in lexicographic order. A cost of
+    exactly zero, which nothing beats, stops the search: its ties are the
+    candidates of ``size`` pairs that share one exact point, and
+    ``_coincident_choice`` applies the same tie rule to them directly.
     """
     n_cand = dist.shape[0]
     n_pairs = n_cand // 2
@@ -269,6 +286,8 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         half = np.zeros((size, n_cand))
         half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
         descend((), 0.0, np.zeros(n_cand), 0, size)
+    if limit == 0.0:
+        return _coincident_choice(flat, size)
     near = [sel for c, sel in leaves if c <= limit]
     if len(near) == 1:
         return list(near[0])
@@ -310,10 +329,18 @@ def wcm_estimate(honest: HonestSet, d) -> np.ndarray:
     """
     if honest.size == 0:
         raise ValueError("cannot average an empty honest set")
-    d = np.asarray(d, dtype=float)
-    inv = np.array([2.0 / (d[i] + d[j]) for (i, j), _ in honest.selected])
-    inv /= inv.sum()
-    return (inv[:, None] * honest.points).sum(axis=0)
+    dist = np.asarray(d, dtype=float).tolist()
+    inv = [2.0 / (dist[i] + dist[j]) for (i, j), _ in honest.selected]
+    total = 0.0
+    for v in inv:
+        total += v
+    x = y = 0.0
+    for v, (_, point) in zip(inv, honest.selected):
+        w = v / total
+        px, py = point.tolist()
+        x += w * px
+        y += w * py
+    return np.array([x, y])
 
 
 def relative_errors(x_est, anchors, d) -> np.ndarray:
@@ -326,8 +353,8 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     med = median_distance(d)
     if med <= 0:
         raise ValueError("median of distance measurements must be positive")
-    est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
-    return np.abs(d - est) / med
+    est = distances_to(anchors.tolist(), np.asarray(x_est, dtype=float).tolist())
+    return np.array([abs(r - e) / med for r, e in zip(d.tolist(), est)])
 
 
 def _check_parameters(tau: float, q: int) -> None:
@@ -385,9 +412,10 @@ def _detect_from_graph(anchors, d, tau, q, graph) -> DetectionOutcome:
     x_init = wcm_estimate(honest, d)
     errs = relative_errors(x_init, anchors, d)
 
+    err = errs.tolist()
     while len(active) > q + 1:
-        worst = max(active, key=lambda i: (errs[i], -i))
-        if errs[worst] <= tau:
+        worst = max(active, key=lambda i: (err[i], -i))
+        if err[worst] <= tau:
             break
         attackers.add(worst)
         active.discard(worst)

@@ -110,6 +110,21 @@ def classify_pair(ci: Circle, cj: Circle) -> CircleRelation:
     return CircleRelation.SECOND_CONTAINS_FIRST
 
 
+def distances_to(points, point) -> list[float]:
+    """Euclidean distance from each of ``points`` to ``point``, as Python floats.
+
+    Takes sequences of (x, y) floats. Each distance is sqrt(dx*dx + dy*dy),
+    which equals ``np.linalg.norm`` over the two columns bit for bit
+    (``math.hypot`` rounds differently).
+    """
+    px, py = point
+    out = []
+    for x, y in points:
+        dx, dy = x - px, y - py
+        out.append(math.sqrt(dx * dx + dy * dy))
+    return out
+
+
 def cluster_compactness(points) -> float:
     """Sum of pairwise Euclidean distances of a point set.
 

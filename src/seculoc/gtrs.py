@@ -54,7 +54,7 @@ class GtrsSystem:
             raise ValueError("design must be an (N, 3) matrix")
         if self.rhs.shape != (n,) or self.weights.shape != (n,):
             raise ValueError("rhs and weights must match the design rows")
-        if (self.weights <= 0).any():
+        if any(w <= 0.0 for w in self.weights.tolist()):
             raise ValueError("weights must be positive")
 
     @property
@@ -96,20 +96,33 @@ def build_system(anchors, d) -> GtrsSystem:
         raise DegenerateGeometryError("planar localization needs at least 3 anchors")
     if d.shape != (n,):
         raise ValueError("one distance per anchor required")
-    if d.min() <= 0:
+    # Python floats from here on: at N <= 10 a numpy call costs more than its arithmetic.
+    pts, dist = anchors.tolist(), d.tolist()
+    if min(dist) <= 0:
         raise ValueError("distances must be positive")
-    weights = 1.0 / d
-    weights /= weights.sum()
-    centred = anchors - weights @ anchors
-    (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
+    inv = [1.0 / r for r in dist]
+    total = 0.0
+    for v in inv:
+        total += v
+    weights = [v / total for v in inv]
+    cx = cy = 0.0
+    for w, (x, y) in zip(weights, pts):
+        cx += w * x
+        cy += w * y
+    sxx = sxy = syy = 0.0
+    for x, y in pts:
+        ux, uy = x - cx, y - cy
+        sxx += ux * ux
+        sxy += ux * uy
+        syy += uy * uy
     # det / trace^2 lies between a quarter of the eigenvalue ratio and the ratio.
     if sxx * syy - sxy * sxy <= _COLLINEAR_RATIO * (sxx + syy) ** 2:
         raise DegenerateGeometryError("anchors are collinear")
-    design = np.empty((n, 3))
-    design[:, :2] = -2.0 * anchors
-    design[:, 2] = 1.0
-    rhs = d * d - (anchors * anchors).sum(axis=1)
-    return GtrsSystem(design=design, rhs=rhs, weights=weights)
+    return GtrsSystem(
+        design=np.array([(-2.0 * x, -2.0 * y, 1.0) for x, y in pts]),
+        rhs=np.array([r * r - (x * x + y * y) for (x, y), r in zip(pts, dist)]),
+        weights=np.array(weights),
+    )
 
 
 def max_generalized_eigenvalue(s: GtrsSystem) -> float:
@@ -131,6 +144,43 @@ def objective(s: GtrsSystem, y) -> float:
     """Weighted squared residual of the lifted variable y."""
     r = s.design @ np.asarray(y, dtype=float) - s.rhs
     return float(np.sum(s.weights * r * r))
+
+
+def _centred_moments(s: GtrsSystem):
+    """Weighted moments of the system about the weighted anchor centroid c.
+
+    Returns (sum w, c, (Mxx, Mxy, Myy), g, g_alpha) with u = a - c, the
+    scatter M = sum w u u', g = sum w u b and g_alpha = sum w b, where
+    b = rhs + (a + u) . c is the right-hand side in the centred frame:
+    shifting the frame leaves the objective, the constraint value and the
+    multiplier unchanged, and ||a||^2 - ||a - c||^2 = (a + (a - c)) . c.
+    Two passes over Python floats. Needs the standard (-2a, 1) design; any
+    other raises ValueError.
+    """
+    rows, rhs, weights = s.design.tolist(), s.rhs.tolist(), s.weights.tolist()
+    pts = []
+    w_sum = cx = cy = 0.0
+    for w, (ex, ey, one) in zip(weights, rows):
+        if one != 1.0:
+            raise ValueError("solve needs the standard (-2a, 1) design")
+        x, y = -0.5 * ex, -0.5 * ey
+        pts.append((x, y))
+        w_sum += w
+        cx += w * x
+        cy += w * y
+    cx, cy = cx / w_sum, cy / w_sum
+    sxx = sxy = syy = gx = gy = g_alpha = 0.0
+    for w, (x, y), b in zip(weights, pts, rhs):
+        ux, uy = x - cx, y - cy
+        b += (x + ux) * cx + (y + uy) * cy
+        wx, wy = w * ux, w * uy
+        sxx += ux * wx
+        sxy += ux * wy
+        syy += uy * wy
+        gx += wx * b
+        gy += wy * b
+        g_alpha += w * b
+    return w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha
 
 
 def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER) -> GtrsSolution:
@@ -160,23 +210,7 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
     pole: lam = -min s, and the free component of x along the smallest
     eigenvector takes the length that makes y feasible, with no Newton step.
     """
-    design, w = s.design, s.weights
-    # Counting in a list is much cheaper than a numpy reduction at N <= 10.
-    ones = design[:, 2].tolist()
-    if ones.count(1.0) != len(ones):
-        raise ValueError("solve needs the standard (-2a, 1) design")
-    w_sum = float(w.sum())
-    anchors = -0.5 * design[:, :2]
-    center = w @ anchors / w_sum
-    shifted = anchors - center
-    # Shifting the frame leaves the objective, the constraint value and the
-    # multiplier unchanged; only the right-hand side picks up the shift,
-    # ||a||^2 - ||a - c||^2 = (a + (a - c)) . c.
-    rhs = s.rhs + (anchors + shifted) @ center
-    weighted = shifted * w[:, None]
-    (sxx, sxy), (_, syy) = (shifted.T @ weighted).tolist()
-    gx, gy = (weighted.T @ rhs).tolist()
-    g_alpha = float(w @ rhs)
+    w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha = _centred_moments(s)
     inv_w = 1.0 / w_sum
 
     # Closed-form eigenpairs of S / 4: s0 <= s1, and the rotation by theta
@@ -253,7 +287,6 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
 
     # x in the eigenbasis of S, rotated back and moved to the original frame.
     x0, x1 = cos_t * e1 - sin_t * e0, sin_t * e1 + cos_t * e0
-    cx, cy = center.tolist()
     # alpha re-expressed in the original frame; the residual is unchanged.
     alpha = (g_alpha + 0.5 * best_lam) * inv_w + 2.0 * (cx * x0 + cy * x1) + cx * cx + cy * cy
     x = np.array([x0 + cx, x1 + cy])

@@ -44,8 +44,9 @@ class SecureLocResult:
 
 
 def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
+    # take() gathers the rows for about half the cost of fancy indexing.
     idx = sorted(indices)
-    system = build_system(anchors[idx], d[idx])
+    system = build_system(anchors.take(idx, axis=0), d.take(idx))
     return solve(system).x
 
 

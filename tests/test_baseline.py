@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from seculoc.baseline import GlrtConfig, glrt_detect, glrt_threshold, wls_locate
 from seculoc.bounds import q_function
@@ -67,6 +68,13 @@ class TestGlrtThreshold:
         got = glrt_threshold(GlrtConfig(p_fa=0.05, sigma=1.0, k_samples=1))
         assert got == pytest.approx(q_inverse_bisect(0.05), abs=1e-9)
         assert got == pytest.approx(1.6449, abs=1e-4)
+
+    def test_matches_ndtri(self):
+        p_fa = np.concatenate([np.logspace(-12.0, -1e-4, 400), np.linspace(1e-3, 0.999, 400)])
+        for p in p_fa.tolist():
+            want = float(ndtri(1.0 - p))
+            got = glrt_threshold(GlrtConfig(p_fa=p, sigma=1.0, k_samples=1))
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_scales_inverse_sqrt_k(self):
         t1 = glrt_threshold(GlrtConfig(p_fa=0.05, sigma=1.0, k_samples=1))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from seculoc.bounds import (
     DetectionBounds,
@@ -36,6 +37,12 @@ class TestQFunction:
 
     def test_quantile_value(self):
         assert q_function(1.959964) == pytest.approx(0.025, abs=1e-6)
+
+    def test_matches_scipy_erfc(self):
+        z = np.concatenate([np.linspace(-8.0, 8.0, 16001), np.random.default_rng(3).uniform(-8.0, 8.0, 20000)])
+        want = 0.5 * erfc(z / math.sqrt(2.0))
+        assert np.abs(q_function(z) - want).max() <= 1e-15
+        assert max(abs(q_function(v) - w) for v, w in zip(z[::97].tolist(), want[::97].tolist())) <= 1e-15
 
     def test_vectorized(self):
         z = np.array([0.0, 1.0, -1.0])
@@ -139,6 +146,39 @@ class TestDetectionBounds:
                 tau=float(rng.uniform(0.0, 1.0)),
             )
             assert tuple(detection_bounds(s)) == reference(s)
+
+    def test_equals_array_form_bit_for_bit(self):
+        # Reference: the numpy form, with every Q value from one array call.
+        def array_form(s):
+            a = s.attacker_index
+            mu_a = float(s.mu[a])
+            others = np.delete(s.mu, a)
+            rot_a = (mu_a - others) / math.sqrt(2.0)
+            rot_i = (mu_a + others) / math.sqrt(2.0)
+            z = np.concatenate(([s.tau + mu_a, s.tau - mu_a], rot_a, -rot_i, -rot_a, rot_i,
+                                s.tau + others, s.tau - others)) / s.sigma_y
+            q_tail = q_function(z)
+            q_pairs = q_tail[2:].reshape(6, others.size)
+            p_exceed = float(q_tail[0] + q_tail[1])
+            up_d = min(1.0, max(0.0, p_exceed))
+            less = np.clip(q_pairs[0] * q_pairs[1] + q_pairs[2] * q_pairs[3], 0.0, 1.0)
+            lpd1 = 1.0 - sum(less.tolist())
+            lpd1 -= min(1.0, max(0.0, 1.0 - p_exceed))
+            lpd1 = min(1.0, max(0.0, lpd1))
+            leq = np.clip(1.0 - (q_pairs[4] + q_pairs[5]), 0.0, 1.0)
+            lpd2 = min(1.0, max(0.0, math.prod(leq.tolist(), start=p_exceed)))
+            return (lpd1, lpd2, max(lpd1, lpd2), up_d)
+
+        rng = np.random.default_rng(43)
+        for n in range(4, 11):
+            for _ in range(300):
+                s = ErrorStats(
+                    mu=rng.uniform(-3, 3, n) * rng.choice([0.01, 1.0, 10.0]),
+                    sigma_y=float(rng.uniform(0.02, 2.0)),
+                    attacker_index=int(rng.integers(0, n)),
+                    tau=float(rng.uniform(0.0, 1.0)),
+                )
+                assert tuple(detection_bounds(s)) == array_form(s)
 
     def test_zero_tau_upper_bound_is_one(self):
         s = ErrorStats(mu=[0.5, 0.0, 0.1, -0.2], sigma_y=0.3, attacker_index=0, tau=0.0)

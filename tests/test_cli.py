@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from seculoc.campaign import CampaignConfig
+from seculoc.campaign import METHOD_NAMES, CampaignConfig
 from seculoc.cli import _build_config, _parser, main
 
 FAST = ["--n-deployments", "3", "--n-corruptions", "2", "--seed", "5"]
@@ -165,3 +170,26 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+class TestRuntimeDependencies:
+    def test_campaign_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import blocked, a
+        # one-deployment campaign of every method must still run.
+        out = tmp_path / "c.csv"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None
+            import seculoc.cli
+            code = seculoc.cli.main(["rmse", "--methods", {",".join(METHOD_NAMES)!r},
+                                     "--n-deployments", "1", "--n-corruptions", "1",
+                                     "--out", {str(out)!r}])
+            assert not [m for m in sys.modules if m.startswith("scipy.")]
+            sys.exit(code)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().count("\n") == 1 + len(METHOD_NAMES) * len(CampaignConfig().delta_grid)

@@ -18,8 +18,8 @@ from seculoc.detection import (
     wcm_estimate,
 )
 from seculoc.errors import UnlocalizableError
-from seculoc.geometry import cluster_compactness
-from seculoc.measurement import AttackSpec, Scene, generate_measurements, reduce_samples
+from seculoc.geometry import Circle, CircleRelation, classify_pair, cluster_compactness, intersect_circles
+from seculoc.measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 CENTER = np.array([0.5, 0.5])
@@ -85,6 +85,53 @@ class TestBuildIntersectionGraph:
             for i in g.geometric_flags:
                 touching = [p for p in g.points if i in p]
                 assert not touching
+
+
+    def test_matches_two_call_reference_loop(self):
+        # Reference: the loop that classified every pair and then intersected
+        # the meeting ones, computing each meeting pair's discriminant twice.
+        def reference(anchors, d):
+            circles = [Circle(x, y, r) for (x, y), r in zip(anchors.tolist(), d.tolist())]
+            n = len(circles)
+            points, disjoint, rel = {}, set(), {}
+            for i, j in itertools.combinations(range(n), 2):
+                rel[i, j] = classify_pair(circles[i], circles[j])
+                if rel[i, j] in (CircleRelation.INTERSECTING, CircleRelation.TANGENT):
+                    points[i, j] = intersect_circles(circles[i], circles[j])
+                else:
+                    disjoint.add((i, j))
+            flags = {
+                i for i in range(n)
+                if all(rel[min(i, j), max(i, j)] is (CircleRelation.FIRST_CONTAINS_SECOND if i < j
+                                                     else CircleRelation.SECOND_CONTAINS_FIRST)
+                       for j in range(n) if j != i)
+            }
+            return points, disjoint, flags
+
+        def check(anchors, d):
+            g = build_intersection_graph(anchors, d)
+            points, disjoint, flags = reference(anchors, d)
+            assert g.points.keys() == points.keys()
+            for pair, pts in points.items():
+                assert g.points[pair].tolist() == pts.tolist()
+            assert g.disjoint_pairs == disjoint
+            assert g.geometric_flags == flags
+
+        rng = np.random.default_rng(88)
+        for _ in range(300):
+            n = int(rng.integers(4, 9))
+            sc = random_scene(rng, n=n)
+            delta = float(rng.choice([0.0, 5.0, 15.0, 40.0]))
+            m = generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng)
+            check(sc.anchors, reduce_samples(m))
+        # Exact ranges on a lattice: opposite anchors are externally tangent.
+        target = np.array([10.0, 10.0])
+        offsets = np.array([(3, 4), (4, 3), (-3, -4), (-4, -3), (3, -4), (-3, 4)], dtype=float)
+        check(target + offsets, np.full(6, 5.0))
+        # Internal and external tangencies, exact and inside the tangency band.
+        anchors = np.array([[0.0, 0.0], [10.0, 0.0], [2.0, 0.0], [0.0, 9.0]])
+        for eps in (0.0, 1e-13, -1e-13):
+            check(anchors, np.array([5.0, 5.0 * (1 + eps), 3.0, 30.0]))
 
 
 class TestSelectHonestPoints:
@@ -313,6 +360,21 @@ class TestClosingStep:
         self.check(g, subsets)
         assert select_honest_points(g, 3).pairs == [(3, 4), (4, 5), (5, 6)]
 
+    def test_zero_cost_clusters_of_nine_pairs(self, subsets):
+        # Pairs 0-2 meet exactly at (10, 10), pairs 3-5 at (5, 5) and pairs
+        # 6-8 at (12, 3). Nine pairs run the branch and bound, which stops at
+        # its first zero; the tie rule must still pick the smallest
+        # coordinates, as the array step does for the first six pairs alone.
+        rng = np.random.default_rng(16)
+        far = rng.uniform(15, 20, (9, 2))
+        meet = [(10.0, 10.0)] * 3 + [(5.0, 5.0)] * 3 + [(12.0, 3.0)] * 3
+        points = np.stack([np.array(meet), far], axis=1)
+        points[[1, 4, 8]] = points[[1, 4, 8], ::-1]
+        self.check(graph_of(points), subsets, array_step=False)
+        assert select_honest_points(graph_of(points), 3).pairs == [(3, 4), (4, 5), (5, 6)]
+        self.check(graph_of(points[:6]), subsets)
+        assert select_honest_points(graph_of(points[:6]), 3).pairs == [(3, 4), (4, 5), (5, 6)]
+
     def test_nine_pairs_use_the_branch_and_bound(self, subsets):
         rng = np.random.default_rng(14)
         for _ in range(10):
@@ -354,6 +416,32 @@ class TestWcmEstimate:
         with pytest.raises(ValueError):
             wcm_estimate(HonestSet(selected=[]), [1.0])
 
+    def test_equals_array_form(self):
+        # Reference: the numpy form. numpy's 1-D sum adds one value at a time
+        # below 8 values and in eight partial sums from 8 on, so a running sum
+        # over Python floats equals it bit for bit up to 7 points and to
+        # rounding beyond.
+        def array_form(honest, d):
+            d = np.asarray(d, dtype=float)
+            inv = np.array([2.0 / (d[i] + d[j]) for (i, j), _ in honest.selected])
+            inv /= inv.sum()
+            return (inv[:, None] * honest.points).sum(axis=0)
+
+        rng = np.random.default_rng(51)
+        for n in range(4, 11):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(300):
+                d = rng.uniform(0.5, 30.0, n)
+                size = int(rng.integers(3, n))
+                chosen = rng.choice(len(pairs), size, replace=False)
+                h = self.make_honest([(pairs[k], rng.uniform(-5.0, 25.0, 2)) for k in chosen])
+                got, want = wcm_estimate(h, d), array_form(h, d)
+                assert got.shape == (2,)
+                if size < 8:
+                    assert got.tolist() == want.tolist()
+                else:
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
 
 class TestRelativeErrors:
     def test_consistent_estimate_gives_zeros(self):
@@ -381,6 +469,19 @@ class TestRelativeErrors:
     def test_zero_median_raises(self):
         with pytest.raises(ValueError):
             relative_errors(CENTER, SQUARE, np.zeros(4))
+
+    def test_equals_array_form_bit_for_bit(self):
+        def array_form(x_est, anchors, d):
+            est = np.linalg.norm(anchors - np.asarray(x_est, dtype=float), axis=1)
+            return np.abs(d - est) / median_distance(d)
+
+        rng = np.random.default_rng(52)
+        for n in range(4, 11):
+            for _ in range(300):
+                anchors = rng.uniform(0.0, 20.0, (n, 2))
+                d = rng.uniform(0.5, 30.0, n)
+                x = rng.uniform(-5.0, 25.0, 2)
+                assert relative_errors(x, anchors, d).tolist() == array_form(x, anchors, d).tolist()
 
 
 class TestDetect:

@@ -50,6 +50,24 @@ class TestBuildSystem:
         with pytest.raises(DegenerateGeometryError, match="collinear"):
             build_system([(0, 0), (1, 1), (2, 2), (3, 3)], np.ones(4))
 
+    def test_equals_array_form(self):
+        # Reference: the numpy form. numpy's 1-D sum adds one value at a time
+        # below 8 values and in eight partial sums from 8 on, so the weights
+        # equal it bit for bit below 8 anchors and to rounding beyond.
+        rng = np.random.default_rng(3)
+        for n in range(3, 11):
+            for _ in range(100):
+                anchors, _, d = random_instance(rng, n=n)
+                s = build_system(anchors, d)
+                weights = 1.0 / d
+                weights /= weights.sum()
+                assert s.design.tolist() == np.column_stack([-2.0 * anchors, np.ones(n)]).tolist()
+                assert s.rhs.tolist() == (d * d - (anchors * anchors).sum(axis=1)).tolist()
+                if n < 8:
+                    assert s.weights.tolist() == weights.tolist()
+                else:
+                    np.testing.assert_allclose(s.weights, weights, rtol=1e-15, atol=0.0)
+
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
             build_system([(0, 0), (4, 0), (0, 4)], [1.0, 0.0, 1.0])
