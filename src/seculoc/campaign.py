@@ -114,8 +114,8 @@ class CampaignConfig:
 
     def validate(self):
         problems = []
-        if self.region_side <= 0:
-            problems.append("region_side must be positive")
+        if not (math.isfinite(self.region_side) and self.region_side > 0):
+            problems.append("region_side must be positive and finite")
         if self.n_anchors < 4:
             problems.append("n_anchors must be at least 4")
         if self.attackers_per_trial not in (1, 2):
@@ -126,14 +126,14 @@ class CampaignConfig:
             problems.append("deployment and corruption counts must be at least 1")
         if self.k_samples < 1:
             problems.append("k_samples must be at least 1")
-        if self.sigma <= 0:
-            problems.append("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            problems.append("sigma must be positive and finite")
         if not 0.0 <= self.tau <= 1.0:
             problems.append("tau must lie in [0, 1]")
         if not self.delta_grid:
             problems.append("delta_grid must not be empty")
-        elif any(v < 0 for v in self.delta_grid):
-            problems.append("delta_grid values must be non-negative")
+        elif not all(math.isfinite(v) and v >= 0 for v in self.delta_grid):
+            problems.append("delta_grid values must be finite and non-negative")
         if not self.methods:
             problems.append("at least one method is required")
         unknown = [m for m in self.methods if m not in METHOD_NAMES]

@@ -11,9 +11,12 @@ could still be reached by growing its radius may simply be noise-starved.
 
 From the surviving pairs the stage picks the most compact set of candidate
 intersection points, one per pair, exactly and by the same branch-and-bound
-search at every size, averages them with inverse-distance weights into an
-initial position estimate, and thresholds the relative disagreement between
-measured and re-estimated ranges to name attackers.
+search at every size. From six points on the search takes the pairs cluster
+first and bounds each node only over the pairs it can still choose; the
+choice does not depend on the order. The stage averages the chosen points
+with inverse-distance weights into an initial position estimate, and
+thresholds the relative disagreement between measured and re-estimated
+ranges to name attackers.
 """
 
 from __future__ import annotations
@@ -163,6 +166,11 @@ def _coord_key(points: np.ndarray) -> tuple:
 # most this many open pairs, 8 * C(8, 3) = 448 triples; over more pairs the
 # branch and bound prunes faster than the array step scores.
 _CLOSING_PAIRS = 8
+# From this many points on, the branch and bound takes the pairs cluster first
+# and bounds each node over the pairs still open. Smaller searches visit a
+# few nodes above their closing steps, and the reordering mostly enlarges
+# those steps: the first ones then span nearly every pair.
+_ORDERED_SIZE = 6
 
 
 @functools.cache
@@ -198,31 +206,48 @@ def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
     return min(choices, key=lambda sel: (_coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]))
 
 
+def _half_nearest(apart: np.ndarray, k: int) -> np.ndarray:
+    """Row r - 2, column c: half the sum of row c's r - 1 smallest entries, for r - 1 <= k."""
+    return 0.5 * np.cumsum(np.sort(apart, axis=1)[:, :k], axis=1).T
+
+
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
-    A depth-first branch and bound: pairs are added in increasing order, so
-    each subset is visited once, and children are explored cheapest first. A
-    node with r points still to add is bounded below by its cost so far plus,
-    for each of those points, its summed distance to the chosen points and
-    half the sum of its r - 1 smallest distances to candidates of other
+    A depth-first branch and bound over the pairs in one search order: each
+    subset is visited once, its pairs added in that order, and children are
+    explored cheapest first. The pairs after the last one chosen are open. A
+    node with r points still to add is bounded below by its cost so far
+    plus, for each of those points, its summed distance to the chosen points
+    and half the sum of its r - 1 smallest distances to candidates of other
     pairs; per pair the cheaper sign counts, and the r smallest values over
-    the pairs after the last one chosen are added. The search closes in one
-    array step that scores every completion of a node: always with two
-    points left, and with three left from at most ``_CLOSING_PAIRS`` open
-    pairs, which at four anchors is the root itself. A node is pruned only
-    when its bound exceeds the incumbent by more than 1e-9 relative, so every
-    leaf that ties the optimum up to rounding survives. Survivors are
-    re-scored by one gather-and-sum and exact ties broken on the sorted
-    coordinates, then on (pairs, signs) in lexicographic order. A cost of
-    exactly zero, which nothing beats, stops the search: its ties are the
-    candidates of ``size`` pairs that share one exact point, and
-    ``_coincident_choice`` applies the same tie rule to them directly.
+    the open pairs are added. Below ``_ORDERED_SIZE`` points the search
+    order is the caller's and those distances run over every other pair.
+    From that size on the pairs are searched cluster first, by a stable sort
+    on each pair's cheaper-sign sum of its size - 1 nearest distances to
+    other pairs, and the distances run over the open pairs only, since a
+    node can no longer choose the others (one table per first open pair,
+    built when a node first needs it). The search closes in one array step
+    that scores every completion of a node: always with two points left, and
+    with three left from at most ``_CLOSING_PAIRS`` open pairs, which at
+    four anchors is the root itself. A node is pruned only when its bound
+    exceeds the incumbent by more than 1e-9 relative, so every leaf that
+    ties the optimum up to rounding survives, whatever the order. Survivors
+    are mapped back to the caller's indices, re-scored by one gather-and-sum
+    in the caller's order and exact ties broken on the sorted coordinates,
+    then on (pairs, signs) in lexicographic order. A cost of exactly zero,
+    which nothing beats, stops the search: its ties are the candidates of
+    ``size`` pairs that share one exact point, and ``_coincident_choice``
+    applies the same tie rule to them directly.
     """
     n_cand = dist.shape[0]
     n_pairs = n_cand // 2
     limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
     leaves: list[tuple[float, tuple[int, ...]]] = []
+    ordered = size >= _ORDERED_SIZE
+    search = dist  # distances in search order
+    # tables[first][r - 2, c - 2 * first]: the half-nearest term of open candidate c.
+    tables: dict[int, np.ndarray] = {}
 
     def few_open(first: int) -> bool:
         return n_pairs - first <= _CLOSING_PAIRS
@@ -232,7 +257,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         nonlocal limit
         lo = 2 * first
         cols = _subsets(n_pairs - first, r)
-        tail_dist = dist[lo:, lo:]
+        tail_dist = search[lo:, lo:]
         costs = cost + sum(tail_dist[cols[j], cols[k]] for j, k in itertools.combinations(range(r), 2))
         if chosen:  # reach is zero at the root
             costs += sum(reach[lo:][col] for col in cols)
@@ -242,6 +267,14 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         limit = min(limit, lowest + 1e-9 * lowest)
         for i in np.flatnonzero(costs <= limit).tolist():
             leaves.append((float(costs[i]), chosen + tuple(lo + int(col[i]) for col in cols)))
+
+    def half(first: int) -> np.ndarray:
+        lo = 2 * first
+        if not ordered:
+            return tables[0][:, lo:]
+        if first not in tables:
+            tables[first] = _half_nearest(apart[lo:, lo:], size - 1)
+        return tables[first]
 
     def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
         # reach[c]: summed distance from candidate c to the chosen candidates.
@@ -253,7 +286,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
             close(chosen, cost, reach, first, r)
             return
         lo = 2 * first
-        v = reach[lo:] + half[r - 1, lo:]
+        v = reach[lo:] + half(first)[r - 2]
         per_pair = v.reshape(-1, 2).min(axis=1)
         smallest = np.sort(np.partition(per_pair, r - 1)[:r]).tolist()
         rest, last = sum(smallest[:-1]), smallest[-1]
@@ -273,22 +306,32 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
             if own <= smallest[-2] and cost + v_list[c] + rest + last - own > limit:
                 continue
             c += lo
-            descend(chosen + (c,), cost + reach[c], reach + dist[c], c // 2 + 1, r - 1)
+            descend(chosen + (c,), cost + reach[c], reach + search[c], c // 2 + 1, r - 1)
 
     if size == 3 and few_open(0):
         # The root closes at once (every request at four anchors), so the
         # bound tables, which only interior nodes read, are not built.
         close((), 0.0, np.zeros(n_cand), 0, size)
     else:
-        pair_of = np.arange(n_cand) // 2
-        nearest = np.sort(np.where(pair_of[:, None] == pair_of[None, :], np.inf, dist), axis=1)
-        # half[r - 1, c]: half the sum of c's r - 1 smallest distances to other pairs.
-        half = np.zeros((size, n_cand))
-        half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
+        # Distances to candidates of other pairs: each candidate's own pair is
+        # the two-by-two block on the diagonal.
+        apart = dist.copy()
+        cand = np.arange(n_cand)
+        apart[cand, cand] = apart[cand, cand ^ 1] = np.inf
+        tables[0] = _half_nearest(apart, size - 1)
+        if ordered:
+            # Cluster first: a stable sort on each pair's cheaper-sign sum.
+            order = np.argsort(tables[0][-1].reshape(-1, 2).min(axis=1), kind="stable")
+            perm = (2 * order[:, None] + np.arange(2)).ravel()
+            search = dist.take(perm, axis=0).take(perm, axis=1)
+            apart = apart.take(perm, axis=0).take(perm, axis=1)
+            tables[0] = tables[0].take(perm, axis=1)
         descend((), 0.0, np.zeros(n_cand), 0, size)
     if limit == 0.0:
         return _coincident_choice(flat, size)
     near = [sel for c, sel in leaves if c <= limit]
+    if ordered:
+        near = [tuple(sorted(perm[list(sel)].tolist())) for sel in near]
     if len(near) == 1:
         return list(near[0])
     idx = np.array(near)

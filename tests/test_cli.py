@@ -101,6 +101,15 @@ class TestConfigHandling:
     def test_bad_tau_exits_2(self, tmp_path):
         assert run(["rmse", "--tau", "1.4", "--out", str(tmp_path / "x.csv"), *FAST]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "nan"), ("--sigma", "inf"), ("--region-side", "inf"), ("--region-side", "nan"),
+        ("--delta-grid", "0,nan"), ("--delta-grid", "0,inf"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, flag, value, capsys):
+        assert run(["rmse", flag, value, "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         assert run(["rmse", "--methods", "wizardry", "--out", str(tmp_path / "x.csv"), *FAST]) == 2
 

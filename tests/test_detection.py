@@ -1,6 +1,7 @@
 """Tests for seculoc.detection."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -380,6 +381,206 @@ class TestClosingStep:
         for _ in range(10):
             self.check(graph_of(clustered_candidates(rng, 9, 1.0)), subsets, array_step=False)
             assert all(r == 2 for _, r in subsets)
+
+
+def reference_most_compact(flat, dist, size):
+    """The selector's search before it took pairs cluster first, kept frozen.
+
+    Pairs in the caller's order, each node bounded by half the nearest
+    distances to candidates of every other pair, closing in one array step
+    with two points left or with three from at most 8 open pairs.
+    """
+    closing_pairs = 8
+    n_cand = dist.shape[0]
+    n_pairs = n_cand // 2
+    limit = math.inf
+    leaves = []
+
+    def few_open(first):
+        return n_pairs - first <= closing_pairs
+
+    def close(chosen, cost, reach, first, r):
+        nonlocal limit
+        lo = 2 * first
+        cols = detection._subsets(n_pairs - first, r)
+        tail_dist = dist[lo:, lo:]
+        costs = cost + sum(tail_dist[cols[j], cols[k]] for j, k in itertools.combinations(range(r), 2))
+        if chosen:
+            costs += sum(reach[lo:][col] for col in cols)
+        lowest = float(costs.min())
+        if lowest > limit:
+            return
+        limit = min(limit, lowest + 1e-9 * lowest)
+        for i in np.flatnonzero(costs <= limit).tolist():
+            leaves.append((float(costs[i]), chosen + tuple(lo + int(col[i]) for col in cols)))
+
+    def descend(chosen, cost, reach, first, r):
+        if limit == 0.0:
+            return
+        if r == 2:
+            close(chosen, cost, reach, first, r)
+            return
+        lo = 2 * first
+        v = reach[lo:] + half[r - 1, lo:]
+        per_pair = v.reshape(-1, 2).min(axis=1)
+        smallest = np.sort(np.partition(per_pair, r - 1)[:r]).tolist()
+        rest, last = sum(smallest[:-1]), smallest[-1]
+        if cost + rest + last > limit:
+            return
+        if r == 3 and few_open(first):
+            close(chosen, cost, reach, first, r)
+            return
+        own_pair, v_list = per_pair.tolist(), v.tolist()
+        for c in np.argsort(v[:2 * (n_pairs - r + 1) - lo], kind="stable").tolist():
+            if cost + v_list[c] + rest > limit:
+                break
+            own = own_pair[c // 2]
+            if own <= smallest[-2] and cost + v_list[c] + rest + last - own > limit:
+                continue
+            c += lo
+            descend(chosen + (c,), cost + reach[c], reach + dist[c], c // 2 + 1, r - 1)
+
+    if size == 3 and few_open(0):
+        close((), 0.0, np.zeros(n_cand), 0, size)
+    else:
+        pair_of = np.arange(n_cand) // 2
+        nearest = np.sort(np.where(pair_of[:, None] == pair_of[None, :], np.inf, dist), axis=1)
+        half = np.zeros((size, n_cand))
+        half[1:] = 0.5 * np.cumsum(nearest[:, :size - 1], axis=1).T
+        descend((), 0.0, np.zeros(n_cand), 0, size)
+    if limit == 0.0:
+        return detection._coincident_choice(flat, size)
+    near = [sel for c, sel in leaves if c <= limit]
+    if len(near) == 1:
+        return list(near[0])
+    idx = np.array(near)
+    iu, jv = np.triu_indices(size, 1)
+    comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)
+    ties = idx[comp == comp.min()]
+    chosen = min(ties, key=lambda sel: (detection._coord_key(flat[sel]), (sel // 2).tolist(), (sel % 2).tolist()))
+    return chosen.tolist()
+
+
+def far_points(n_pairs):
+    """One candidate per pair on a 40 m grid far from the test clusters."""
+    return np.array([(100.0 + 40.0 * (i % 6), 100.0 + 40.0 * (i // 6)) for i in range(n_pairs)])
+
+
+class TestSearchOrder:
+    """Cluster-first search from six points on: same selections as the frozen reference."""
+
+    def same_as_reference(self, g, size, monkeypatch):
+        got = select_honest_points(g, size)
+        with monkeypatch.context() as m:
+            m.setattr(detection, "_most_compact", reference_most_compact)
+            want = select_honest_points(g, size)
+        assert got.pairs == want.pairs
+        np.testing.assert_array_equal(got.points, want.points)
+        return got
+
+    def requested(self, rng, n, sigma, delta, monkeypatch):
+        """The (graph, size) requests `detect` makes on one seeded scene."""
+        sc = random_scene(rng, n=n)
+        m = generate_measurements(sc, AttackSpec(frozenset({int(rng.integers(n))}), delta), sigma, 10, rng)
+        calls = []
+        original = detection.select_honest_points
+
+        def spy(graph, size):
+            calls.append((graph, size))
+            return original(graph, size)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(detection, "select_honest_points", spy)
+            try:
+                detect(sc.anchors, reduce_samples(m), 0.3)
+            except UnlocalizableError:
+                pass
+        return calls
+
+    def test_detect_requests_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        sizes = set()
+        for n in (6, 8, 10):
+            for delta in (0.0, 5.0, 10.0, 15.0):
+                for _ in range(8):
+                    for g, size in self.requested(rng, n, 1.0, delta, monkeypatch):
+                        self.same_as_reference(g, size, monkeypatch)
+                        sizes.add(size)
+        assert {3, 5, 7, 9} <= sizes
+
+    def test_tight_twelve_anchor_scenes_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(6):
+            for g, size in self.requested(rng, 12, 0.1, 0.0, monkeypatch):
+                assert size >= detection._ORDERED_SIZE
+                self.same_as_reference(g, size, monkeypatch)
+                checked += 1
+        assert checked == 6
+
+    @pytest.mark.parametrize("n_pairs, size, cases", [(9, 4, 2), (10, 4, 2), (11, 4, 1), (12, 4, 1),
+                                                      (8, 6, 2), (10, 6, 1)])
+    def test_matches_brute_force(self, n_pairs, size, cases):
+        rng = np.random.default_rng(100 * n_pairs + size)
+        for _ in range(cases):
+            g = graph_of(clustered_candidates(rng, n_pairs, rng.uniform(0.1, 2.0)))
+            pairs, points = brute_force_selection(g, size)
+            got = select_honest_points(g, size)
+            assert got.pairs == pairs
+            np.testing.assert_array_equal(got.points, points)
+
+    def test_zero_cost_clusters_break_ties_on_coordinates(self, monkeypatch):
+        # Pairs 0-5 meet exactly at (10, 10), pairs 6-11 at (12, 3) and the
+        # highest, 14-19, at (5, 5). Every member of a zero-cost cluster has
+        # a neighbour sum of exactly zero, so the search order keeps the
+        # caller's order among them and stops at (10, 10); the tie rule
+        # must still pick the smallest coordinates.
+        meet = [(10.0, 10.0)] * 6 + [(12.0, 3.0)] * 6 + [(40.0, 40.0)] * 2 + [(5.0, 5.0)] * 6
+        points = np.stack([np.array(meet), far_points(20)], axis=1)
+        points[[2, 7, 13, 15]] = points[[2, 7, 13, 15], ::-1]
+        got = self.same_as_reference(graph_of(points), 6, monkeypatch)
+        assert got.pairs == [(i, i + 1) for i in range(14, 20)]
+        np.testing.assert_array_equal(got.points, np.tile([5.0, 5.0], (6, 1)))
+
+    def test_exact_ties_reached_out_of_order(self, monkeypatch):
+        # Three six-point clusters on horizontal lines with integer spacing,
+        # so every cost is an exact integer: the lines at (10, 10) and (5, 5)
+        # and five coincident points plus one 7 m away at (30, 3), all
+        # costing 35. The last cluster holds the highest pairs and the
+        # smallest neighbour sums (7 against 9), so the cluster-first order
+        # reaches it first; the tie rule must still pick the (5, 5) line.
+        line = np.arange(6.0)[:, None] * [1.0, 0.0]
+        far = np.array([(30.0, 3.0)] * 5 + [(37.0, 3.0)])
+        clusters = np.concatenate([line + [10.0, 10.0], line + [5.0, 5.0], far_points(2) + 300.0, far])
+        points = np.stack([clusters, far_points(20)], axis=1)
+        gaps = np.linalg.norm(clusters[:, None] - clusters[None], axis=-1)
+        np.fill_diagonal(gaps, np.inf)
+        neighbour_sums = np.sort(gaps, axis=1)[:, :5].sum(axis=1)
+        assert neighbour_sums[14:19].max() < neighbour_sums[:12].min()
+        got = self.same_as_reference(graph_of(points), 6, monkeypatch)
+        assert got.pairs == [(i, i + 1) for i in range(6, 12)]
+
+    def test_rounding_tie_summed_in_caller_order(self, monkeypatch):
+        # The same six points twice, at (5, 5) in one order of their pairs
+        # and at (20, 20) in another. The two costs are equal in exact
+        # arithmetic, but summed in the caller's pair order the (20, 20)
+        # copy is one rounding step cheaper, so it wins although the
+        # coordinate rule alone would pick (5, 5). In search order both
+        # copies are summed alike, and only the caller's order decides.
+        shape = np.array([[0.0, 0.21875], [0.0, 1.3125], [1.03125, 1.28125],
+                          [0.5, 1.21875], [1.5, 0.75], [0.90625, 1.96875]])
+        low, high = shape + 5.0, shape[[1, 0, 4, 2, 3, 5]] + 20.0
+        iu, jv = np.triu_indices(6, 1)
+
+        def caller_sum(p):
+            return np.linalg.norm(p[:, None] - p[None], axis=-1)[iu, jv].sum()
+
+        assert caller_sum(high) < caller_sum(low)
+        clusters = np.concatenate([low, far_points(6) + 300.0, high])
+        g = graph_of(np.stack([clusters, far_points(18)], axis=1))
+        got = self.same_as_reference(g, 6, monkeypatch)
+        assert got.pairs == [(i, i + 1) for i in range(12, 18)]
+        np.testing.assert_array_equal(got.points, high)
 
 
 class TestIntersectionGraph:
