@@ -13,7 +13,7 @@ Run:  python demos/02_exact_localization.py
 import numpy as np
 
 from seculoc.baseline import wls_locate
-from seculoc.gtrs import build_system, max_generalized_eigenvalue, solve
+from seculoc.gtrs import build_system, solve
 from seculoc.measurement import AttackSpec, Scene, generate_measurements, reduce_samples
 
 rng = np.random.default_rng(3)
@@ -27,10 +27,18 @@ d = reduce_samples(mset)
 
 system = build_system(scene.anchors, d)
 print("=== the multiplier residual function is strictly decreasing ===")
-lam_max = max_generalized_eigenvalue(system)
-gram, b = system.gram(), system.gram_rhs()
-print(f"admissible interval: ({-1.0 / lam_max:.4f}, inf)")
-for lam in (-0.9 / lam_max, 0.0, 2.0, 20.0, 200.0):
+# The lifted system stays positive definite for lambda above -4 times the
+# smaller eigenvalue of the weighted anchor scatter about its centroid.
+sxx, sxy, syy = system.scatter
+pole = 4.0 * np.linalg.eigvalsh([[sxx, sxy], [sxy, syy]])[0]
+print(f"admissible interval: ({-pole:.4f}, inf)")
+# Weighted normal equations of the lifted variable y = (x, alpha): design rows
+# (-2a, 1), right-hand side d^2 - ||a||^2, normalized inverse-distance weights.
+design = np.column_stack([-2.0 * scene.anchors, np.ones(len(d))])
+w = (1.0 / d) / (1.0 / d).sum()
+gram = design.T @ (w[:, None] * design)
+b = design.T @ (w * (d * d - (scene.anchors ** 2).sum(axis=1)))
+for lam in (-0.9 * pole, 0.0, 2.0, 20.0, 200.0):
     y = np.linalg.solve(gram + lam * np.diag([1.0, 1.0, 0.0]), b + [0.0, 0.0, 0.5 * lam])
     print(f"lambda {lam:10.3f}  constraint residual {y[0]**2 + y[1]**2 - y[2]:14.4f}")
 

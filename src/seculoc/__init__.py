@@ -27,7 +27,7 @@ from .detection import (
 )
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .geometry import Circle, CircleRelation, classify_pair, cluster_compactness, intersect_circles
-from .gtrs import GtrsSolution, GtrsSystem, build_system, max_generalized_eigenvalue
+from .gtrs import GtrsSolution, GtrsSystem, build_system
 from .measurement import (
     AttackSpec,
     MeasurementSet,
@@ -79,7 +79,6 @@ __all__ = [
     "locate_no_detection",
     "locate_perfect_detection",
     "locate_secure",
-    "max_generalized_eigenvalue",
     "median_distance",
     "prob_abs_leq",
     "prob_abs_less",

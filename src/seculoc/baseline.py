@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .geometry import distances_to
-from .gtrs import _centred_moments, build_system
+from .gtrs import build_system
 from .measurement import MeasurementSet
 
 
@@ -50,7 +50,7 @@ def wls_locate(anchors, d) -> np.ndarray:
     # Centred on the weighted centroid c, the lifted coordinate decouples and
     # the normal equations reduce to x = c - M^-1 g / 2, with M and g the
     # centred scatter and right-hand-side moments.
-    _, (cx, cy), (sxx, sxy, syy), (gx, gy), _ = _centred_moments(system)
+    (cx, cy), (sxx, sxy, syy), (gx, gy) = system.centroid, system.scatter, system.g
     det = sxx * syy - sxy * sxy
     return np.array([cx - 0.5 * (syy * gx - sxy * gy) / det, cy - 0.5 * (sxx * gy - sxy * gx) / det])
 

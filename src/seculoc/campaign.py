@@ -32,7 +32,7 @@ import numpy as np
 from .baseline import GlrtConfig, glrt_detect, wls_locate
 from .bounds import ErrorStats, detection_bounds
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
-from .geometry import distances_to
+from .geometry import collinear_scatter, distances_to
 from .measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
 from .pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
@@ -43,7 +43,6 @@ _DEPLOY_STREAM = 1
 _TRIAL_STREAM = 2
 
 _MIN_ANCHOR_TARGET_GAP = 0.5
-_COLLINEARITY_RTOL = 1e-6
 
 # Accumulator field layout per (method, delta) cell.
 (
@@ -193,9 +192,9 @@ def _attack_sets(cfg: CampaignConfig) -> list[frozenset[int]]:
 def _degenerate(target: np.ndarray, anchors: np.ndarray) -> bool:
     if np.linalg.norm(anchors - target, axis=1).min() < _MIN_ANCHOR_TARGET_GAP:
         return True
-    centered = anchors - anchors.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    return sv[1] <= _COLLINEARITY_RTOL * sv[0]
+    centred = anchors - anchors.mean(axis=0)
+    (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
+    return collinear_scatter(sxx, sxy, syy)
 
 
 def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
@@ -343,9 +342,11 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignStats:
     """
     cfg.validate()
     jobs = [(cfg, dep) for dep in range(cfg.n_deployments)]
-    if threads > 1:
-        chunk = max(1, cfg.n_deployments // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A worker without a deployment would only cost a fork.
+    workers = min(threads, cfg.n_deployments)
+    if workers > 1:
+        chunk = max(1, cfg.n_deployments // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_deployment_partial, jobs, chunksize=chunk))
     else:
         partials = [_deployment_partial(job) for job in jobs]

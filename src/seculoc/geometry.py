@@ -17,6 +17,9 @@ from .errors import DegenerateGeometryError
 # The intersection discriminant scales like (r_i + r_j)^4; values inside this
 # relative band are treated as tangencies.
 _TANGENT_RTOL = 1e-12
+# Eigenvalue ratio of a point scatter at or below which the points count as
+# collinear: a singular-value ratio of 1e-6 for the centred points.
+_COLLINEAR_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,18 @@ def distances_to(points, point) -> list[float]:
         dx, dy = x - px, y - py
         out.append(math.sqrt(dx * dx + dy * dy))
     return out
+
+
+def collinear_scatter(sxx: float, sxy: float, syy: float) -> bool:
+    """Whether the 2x2 scatter [[sxx, sxy], [sxy, syy]] of a point set is collinear.
+
+    True when its smaller eigenvalue is at most 1e-12 times its larger one,
+    which includes the all-zero scatter of coincident points. The test reads
+    det <= ratio * larger^2, since det is the product of the eigenvalues and
+    the larger one, unlike the smaller, carries no cancellation.
+    """
+    larger = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
+    return sxx * syy - sxy * sxy <= _COLLINEAR_RATIO * larger * larger
 
 
 def cluster_compactness(points) -> float:

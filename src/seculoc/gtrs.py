@@ -8,8 +8,9 @@ and the constraint residual of that stationary point is strictly decreasing
 in the multiplier. Centring the anchors on their weighted centroid makes the
 lifted Gram matrix block-diagonal, so that residual becomes an explicit
 two-term secular function of the multiplier (Beck, Stoica & Li, 2008) whose
-root is found by safeguarded Newton steps (Moré, 1993). The solver needs the
-standard (-2a, 1) design that ``build_system`` produces.
+root is found by safeguarded Newton steps (Moré, 1993). The problem is thus
+fixed by the weighted moments about that centroid, and ``build_system``
+reduces the anchors and ranges to exactly those.
 """
 
 from __future__ import annotations
@@ -20,53 +21,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, NoRootError
-
-# The constraint alpha = ||x||^2 reads y' Q y - y[2] = 0 with this Q.
-CONSTRAINT_QUAD = np.diag([1.0, 1.0, 0.0])
+from .geometry import collinear_scatter
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_ITER = 100
 _MAX_DOUBLINGS = 60
-# Eigenvalue ratio of the anchor scatter at or below which anchors count as
-# collinear: the square of the singular-value ratio the campaign resamples at.
-_COLLINEAR_RATIO = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class GtrsSystem:
-    """Weighted linear system for squared-range localization.
+    """Weighted squared-range system as its moments about the weighted centroid.
 
-    ``design`` rows are (-2*ax, -2*ay, 1), ``rhs`` entries are d^2 - ||a||^2,
-    and ``weights`` are the normalized inverse-distance weights (their square
-    roots form the diagonal weighting matrix).
+    With weights w, the weighted anchor centroid c and u = a - c: ``w_sum`` is
+    sum w, ``scatter`` is sum w u u' as (Mxx, Mxy, Myy), ``g`` is sum w u b and
+    ``g_alpha`` is sum w b, where b = d^2 - ||a||^2 + (a + u) . c is the
+    squared-range right-hand side in the frame centred on c: shifting the frame
+    leaves the objective, the constraint value and the multiplier unchanged,
+    and ||a||^2 - ||a - c||^2 = (a + (a - c)) . c.
     """
 
-    design: np.ndarray
-    rhs: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.design = np.asarray(self.design, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        n = self.design.shape[0]
-        if self.design.ndim != 2 or self.design.shape[1] != 3:
-            raise ValueError("design must be an (N, 3) matrix")
-        if self.rhs.shape != (n,) or self.weights.shape != (n,):
-            raise ValueError("rhs and weights must match the design rows")
-        if any(w <= 0.0 for w in self.weights.tolist()):
-            raise ValueError("weights must be positive")
-
-    @property
-    def n_anchors(self) -> int:
-        return self.design.shape[0]
-
-    def gram(self) -> np.ndarray:
-        """Weighted Gram matrix of the design."""
-        return self.design.T @ (self.weights[:, None] * self.design)
-
-    def gram_rhs(self) -> np.ndarray:
-        return self.design.T @ (self.weights * self.rhs)
+    w_sum: float
+    centroid: tuple[float, float]
+    scatter: tuple[float, float, float]
+    g: tuple[float, float]
+    g_alpha: float
 
 
 @dataclass
@@ -79,13 +57,12 @@ class GtrsSolution:
 
 
 def build_system(anchors, d) -> GtrsSystem:
-    """Assemble the weighted squared-range system for the given anchors.
+    """Reduce anchors and measured distances to the weighted squared-range system.
 
     Weights are proportional to inverse measured distance (nearby links get
-    more belief) and normalized to sum to one. Anchors whose 2x2 scatter
-    about their weighted centroid has an eigenvalue ratio of about 1e-12 or
-    less are collinear: they leave the design rank-deficient and raise
-    DegenerateGeometryError.
+    more belief) and normalized to sum to one. Anchors whose weighted scatter
+    about their weighted centroid fails ``geometry.collinear_scatter`` leave
+    the system rank-deficient and raise DegenerateGeometryError.
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -105,73 +82,17 @@ def build_system(anchors, d) -> GtrsSystem:
     for v in inv:
         total += v
     weights = [v / total for v in inv]
-    cx = cy = 0.0
-    for w, (x, y) in zip(weights, pts):
-        cx += w * x
-        cy += w * y
-    sxx = sxy = syy = 0.0
-    for x, y in pts:
-        ux, uy = x - cx, y - cy
-        sxx += ux * ux
-        sxy += ux * uy
-        syy += uy * uy
-    # det / trace^2 lies between a quarter of the eigenvalue ratio and the ratio.
-    if sxx * syy - sxy * sxy <= _COLLINEAR_RATIO * (sxx + syy) ** 2:
-        raise DegenerateGeometryError("anchors are collinear")
-    return GtrsSystem(
-        design=np.array([(-2.0 * x, -2.0 * y, 1.0) for x, y in pts]),
-        rhs=np.array([r * r - (x * x + y * y) for (x, y), r in zip(pts, dist)]),
-        weights=np.array(weights),
-    )
-
-
-def max_generalized_eigenvalue(s: GtrsSystem) -> float:
-    """Largest eigenvalue of G^{-1/2} Q G^{-1/2} for weighted Gram G.
-
-    Its negative reciprocal is the open left end of the multiplier interval
-    on which the shifted system stays positive definite.
-    """
-    gram = s.gram()
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 0:
-        raise DegenerateGeometryError("weighted Gram matrix is not positive definite")
-    inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.T
-    mat = inv_sqrt @ CONSTRAINT_QUAD @ inv_sqrt
-    return float(np.linalg.eigvalsh(mat)[-1])
-
-
-def objective(s: GtrsSystem, y) -> float:
-    """Weighted squared residual of the lifted variable y."""
-    r = s.design @ np.asarray(y, dtype=float) - s.rhs
-    return float(np.sum(s.weights * r * r))
-
-
-def _centred_moments(s: GtrsSystem):
-    """Weighted moments of the system about the weighted anchor centroid c.
-
-    Returns (sum w, c, (Mxx, Mxy, Myy), g, g_alpha) with u = a - c, the
-    scatter M = sum w u u', g = sum w u b and g_alpha = sum w b, where
-    b = rhs + (a + u) . c is the right-hand side in the centred frame:
-    shifting the frame leaves the objective, the constraint value and the
-    multiplier unchanged, and ||a||^2 - ||a - c||^2 = (a + (a - c)) . c.
-    Two passes over Python floats. Needs the standard (-2a, 1) design; any
-    other raises ValueError.
-    """
-    rows, rhs, weights = s.design.tolist(), s.rhs.tolist(), s.weights.tolist()
-    pts = []
     w_sum = cx = cy = 0.0
-    for w, (ex, ey, one) in zip(weights, rows):
-        if one != 1.0:
-            raise ValueError("solve needs the standard (-2a, 1) design")
-        x, y = -0.5 * ex, -0.5 * ey
-        pts.append((x, y))
+    for w, (x, y) in zip(weights, pts):
         w_sum += w
         cx += w * x
         cy += w * y
     cx, cy = cx / w_sum, cy / w_sum
     sxx = sxy = syy = gx = gy = g_alpha = 0.0
-    for w, (x, y), b in zip(weights, pts, rhs):
+    for w, (x, y), r in zip(weights, pts, dist):
         ux, uy = x - cx, y - cy
+        # d^2 - ||a||^2, then the shift to the centred frame added as one term.
+        b = r * r - (x * x + y * y)
         b += (x + ux) * cx + (y + uy) * cy
         wx, wy = w * ux, w * uy
         sxx += ux * wx
@@ -180,14 +101,15 @@ def _centred_moments(s: GtrsSystem):
         gx += wx * b
         gy += wy * b
         g_alpha += w * b
-    return w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha
+    if collinear_scatter(sxx, sxy, syy):
+        raise DegenerateGeometryError("anchors are collinear")
+    return GtrsSystem(w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha)
 
 
 def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER) -> GtrsSolution:
     """Minimize the weighted squared-range objective subject to alpha = ||x||^2.
 
-    Needs the standard (-2a, 1) design; any other raises ValueError. With the
-    anchors centred on their weighted centroid and the scatter
+    With the anchors centred on their weighted centroid and the scatter
     S = 4 sum w (a - c)(a - c)' = U diag(s) U', the constraint residual of the
     stationary point is the secular function
 
@@ -210,8 +132,8 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
     pole: lam = -min s, and the free component of x along the smallest
     eigenvector takes the length that makes y feasible, with no Newton step.
     """
-    w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha = _centred_moments(s)
-    inv_w = 1.0 / w_sum
+    (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha = s.centroid, s.scatter, s.g, s.g_alpha
+    inv_w = 1.0 / s.w_sum
 
     # Closed-form eigenpairs of S / 4: s0 <= s1, and the rotation by theta
     # takes the first axis onto the eigenvector of s1.

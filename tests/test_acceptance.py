@@ -15,7 +15,7 @@ import pytest
 from seculoc.bounds import ErrorStats, detection_bounds, prob_abs_less
 from seculoc.baseline import GlrtConfig, glrt_detect
 from seculoc.campaign import CampaignConfig, emit_csv, run_campaign
-from seculoc.gtrs import build_system, objective, solve
+from seculoc.gtrs import build_system, solve
 from seculoc.measurement import AttackSpec, Scene, generate_measurements
 from seculoc.pipeline import locate_secure
 
@@ -95,13 +95,16 @@ def test_c02_gtrs_optimality():
                 and np.linalg.svd(anchors - anchors.mean(0), compute_uv=False)[1] > 1e-6
             )
         d = np.maximum(np.linalg.norm(anchors - target, axis=1) + rng.normal(0, 1.0, n), 0.05)
-        s = build_system(anchors, d)
-        sol = solve(s)
+        sol = solve(build_system(anchors, d))
+        # The weighted squared-range objective of lifted points y = (x, ||x||^2).
+        design = np.column_stack([-2.0 * anchors, np.ones(n)])
+        rhs = d * d - (anchors * anchors).sum(axis=1)
+        weights = (1.0 / d) / (1.0 / d).sum()
         xs = rng.uniform(-10, 30, (10_000, 2))
-        ys = np.column_stack([xs, (xs * xs).sum(axis=1)])
-        resid = ys @ s.design.T - s.rhs
-        best_random = float((s.weights * resid * resid).sum(axis=1).min())
-        worst_gap = max(worst_gap, objective(s, sol.y) - best_random)
+        ys = np.vstack([sol.y, np.column_stack([xs, (xs * xs).sum(axis=1)])])
+        resid = ys @ design.T - rhs
+        scores = (weights * resid * resid).sum(axis=1)
+        worst_gap = max(worst_gap, float(scores[0] - scores[1:].min()))
         worst_resid = max(worst_resid, abs(sol.y[0] ** 2 + sol.y[1] ** 2 - sol.y[2]))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 0.0 and worst_resid <= 1e-9 and elapsed < 30.0

@@ -98,6 +98,34 @@ class TestRunCampaign:
         assert a.rows == b.rows
         assert a.resampled_deployments == b.resampled_deployments
 
+    @pytest.mark.parametrize("n_deployments, workers", [(1, None), (3, 3)])
+    def test_workers_capped_at_deployments(self, monkeypatch, n_deployments, workers):
+        # An inline stand-in for the pool: no process is ever started.
+        import seculoc.campaign as campaign
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
+        cfg = CampaignConfig(
+            methods=("proposed",), delta_grid=(5.0,), n_deployments=n_deployments, n_corruptions=1
+        )
+        stats = run_campaign(cfg, threads=10**6)
+        assert asked == ([] if workers is None else [workers])
+        assert stats.rows == run_campaign(cfg, threads=1).rows
+
     def test_methods_call_entry_points_through_module_globals(self, monkeypatch):
         import seculoc.campaign as campaign
 

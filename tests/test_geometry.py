@@ -11,6 +11,7 @@ from seculoc.geometry import (
     CircleRelation,
     classify_pair,
     cluster_compactness,
+    collinear_scatter,
     intersect_circles,
 )
 
@@ -145,6 +146,44 @@ class TestClassifyPair:
             cj = Circle(*rng.uniform(-10, 10, 2), rng.uniform(0.3, 9))
             empty = intersect_circles(ci, cj) is None
             assert empty == (classify_pair(ci, cj) in nonmeeting)
+
+
+class TestCollinearScatter:
+    @staticmethod
+    def scatter(points):
+        u = points - points.mean(axis=0)
+        (sxx, sxy), (_, syy) = (u.T @ u).tolist()
+        return sxx, sxy, syy
+
+    def test_matches_singular_value_ratio(self):
+        # Oracle: the centred points' singular-value ratio against 1e-6, away
+        # from the threshold by more than rounding.
+        rng = np.random.default_rng(4)
+        decided = 0
+        for _ in range(2000):
+            x = rng.uniform(0, 30, int(rng.integers(3, 7)))
+            eps = 10.0 ** rng.uniform(-9, -3)
+            pts = np.column_stack([x, 0.3 * x + 1.0 + eps * rng.normal(size=x.size)])
+            pts = pts @ np.array([[0.6, -0.8], [0.8, 0.6]])
+            sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            ratio = sv[1] / sv[0]
+            if abs(math.log10(ratio) + 6.0) > 1e-3:
+                assert collinear_scatter(*self.scatter(pts)) == (ratio <= 1e-6)
+                decided += 1
+        assert decided > 1900
+
+    def test_coincident_points_are_collinear(self):
+        assert collinear_scatter(0.0, 0.0, 0.0)
+        assert collinear_scatter(*self.scatter(np.full((4, 2), 3.0)))
+
+    def test_invariant_under_rotation_and_scale(self):
+        pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
+        assert not collinear_scatter(*self.scatter(pts))
+        line = np.column_stack([np.arange(4.0), np.arange(4.0)])
+        for angle, scale in [(0.0, 1.0), (0.7, 1e-3), (2.1, 1e5)]:
+            rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+            assert not collinear_scatter(*self.scatter(scale * pts @ rot.T))
+            assert collinear_scatter(*self.scatter(scale * line @ rot.T))
 
 
 class TestClusterCompactness:

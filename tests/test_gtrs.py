@@ -1,18 +1,14 @@
 """Tests for seculoc.gtrs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from seculoc.baseline import wls_locate
 from seculoc.errors import DegenerateGeometryError
-from seculoc.gtrs import (
-    GtrsSystem,
-    build_system,
-    max_generalized_eigenvalue,
-    objective,
-    solve,
-)
+from seculoc.gtrs import GtrsSystem, build_system, solve
 
 
 def random_instance(rng, n=4, noise=0.5):
@@ -26,82 +22,165 @@ def random_instance(rng, n=4, noise=0.5):
     return anchors, target, d
 
 
+# The lifted problem in numpy: design rows (-2a, 1), right-hand side
+# d^2 - ||a||^2 and normalized inverse-distance weights. The oracles below
+# score solutions against it, independently of the solver's moments.
+def lifted(anchors, d):
+    anchors, d = np.asarray(anchors, dtype=float), np.asarray(d, dtype=float)
+    design = np.column_stack([-2.0 * anchors, np.ones(len(d))])
+    rhs = d * d - (anchors * anchors).sum(axis=1)
+    weights = (1.0 / d) / (1.0 / d).sum()
+    return design, rhs, weights
+
+
+def gram(anchors, d):
+    design, rhs, weights = lifted(anchors, d)
+    return design.T @ (weights[:, None] * design), design.T @ (weights * rhs)
+
+
+def objective(anchors, d, ys):
+    """Weighted squared residual of each lifted point in ``ys``."""
+    design, rhs, weights = lifted(anchors, d)
+    resid = np.atleast_2d(ys) @ design.T - rhs
+    return (weights * resid * resid).sum(axis=1)
+
+
+def scaled(s, k):
+    """The system with every weight multiplied by k."""
+    return dataclasses.replace(
+        s, w_sum=k * s.w_sum, scatter=tuple(k * v for v in s.scatter), g=tuple(k * v for v in s.g),
+        g_alpha=k * s.g_alpha,
+    )
+
+
+# Frozen reference: the design-matrix system and the two-pass moment
+# reduction it replaced. The moments, and with them every solve and WLS
+# output, must match it bit for bit.
+def reference_build(anchors, d):
+    pts, dist = np.asarray(anchors, dtype=float).tolist(), np.asarray(d, dtype=float).tolist()
+    inv = [1.0 / r for r in dist]
+    total = 0.0
+    for v in inv:
+        total += v
+    return (
+        np.array([(-2.0 * x, -2.0 * y, 1.0) for x, y in pts]),
+        np.array([r * r - (x * x + y * y) for (x, y), r in zip(pts, dist)]),
+        np.array([v / total for v in inv]),
+    )
+
+
+def reference_moments(design, rhs, weights):
+    rows, rhs, weights = design.tolist(), rhs.tolist(), weights.tolist()
+    pts = []
+    w_sum = cx = cy = 0.0
+    for w, (ex, ey, _) in zip(weights, rows):
+        x, y = -0.5 * ex, -0.5 * ey
+        pts.append((x, y))
+        w_sum += w
+        cx += w * x
+        cy += w * y
+    cx, cy = cx / w_sum, cy / w_sum
+    sxx = sxy = syy = gx = gy = g_alpha = 0.0
+    for w, (x, y), b in zip(weights, pts, rhs):
+        ux, uy = x - cx, y - cy
+        b += (x + ux) * cx + (y + uy) * cy
+        wx, wy = w * ux, w * uy
+        sxx += ux * wx
+        sxy += ux * wy
+        syy += uy * wy
+        gx += wx * b
+        gy += wy * b
+        g_alpha += w * b
+    return GtrsSystem(w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha)
+
+
+def reference_wls(s):
+    (cx, cy), (sxx, sxy, syy), (gx, gy) = s.centroid, s.scatter, s.g
+    det = sxx * syy - sxy * sxy
+    return [cx - 0.5 * (syy * gx - sxy * gy) / det, cy - 0.5 * (sxx * gy - sxy * gx) / det]
+
+
+HARD_CASE = (np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]), np.full(4, 10.0))
+STALLED = (np.array([(16.974, 5.446), (11.154, 19.743), (16.725, 5.853)]), np.array([13.681, 16.795, 13.53]))
+
+
 class TestBuildSystem:
     def test_hand_values(self):
+        # Equal ranges give weights 1/3 and the centroid (4/3, 4/3); in the
+        # centred frame the right-hand side is d^2 - ||a - c||^2.
         anchors = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
-        d = np.full(3, math.sqrt(8.0))
-        s = build_system(anchors, d)
-        np.testing.assert_allclose(s.design, [[0, 0, 1], [-8, 0, 1], [0, -8, 1]])
-        np.testing.assert_allclose(s.rhs, [8.0, -8.0, -8.0])
+        s = build_system(anchors, np.full(3, math.sqrt(8.0)))
+        assert s.w_sum == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(s.centroid, (4 / 3, 4 / 3), rtol=1e-15)
+        np.testing.assert_allclose(s.scatter, (32 / 9, -16 / 9, 32 / 9), rtol=1e-14)
+        np.testing.assert_allclose(s.g, (-64 / 27, -64 / 27), rtol=1e-13)
+        assert s.g_alpha == pytest.approx(8 / 9, rel=1e-13)
 
     def test_equal_distances_give_equal_weights(self):
         s = build_system([(0, 0), (4, 0), (0, 4), (4, 4)], np.full(4, 3.0))
-        np.testing.assert_allclose(s.weights, 0.25)
+        assert s.w_sum == 1.0
+        assert s.centroid == (2.0, 2.0)
+        assert s.scatter == (4.0, 0.0, 4.0)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             anchors, _, d = random_instance(rng)
             s = build_system(anchors, d)
-            assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (s.weights > 0).all()
+            assert s.w_sum == pytest.approx(1.0, abs=1e-12)
+            sxx, sxy, syy = s.scatter
+            assert sxx > 0 and sxx * syy > sxy * sxy
 
     def test_collinear_anchors_rejected(self):
         with pytest.raises(DegenerateGeometryError, match="collinear"):
             build_system([(0, 0), (1, 1), (2, 2), (3, 3)], np.ones(4))
 
     def test_equals_array_form(self):
-        # Reference: the numpy form. numpy's 1-D sum adds one value at a time
-        # below 8 values and in eight partial sums from 8 on, so the weights
-        # equal it bit for bit below 8 anchors and to rounding beyond.
+        # Reference: the moments from numpy arrays, equal to rounding.
         rng = np.random.default_rng(3)
         for n in range(3, 11):
             for _ in range(100):
                 anchors, _, d = random_instance(rng, n=n)
                 s = build_system(anchors, d)
-                weights = 1.0 / d
-                weights /= weights.sum()
-                assert s.design.tolist() == np.column_stack([-2.0 * anchors, np.ones(n)]).tolist()
-                assert s.rhs.tolist() == (d * d - (anchors * anchors).sum(axis=1)).tolist()
-                if n < 8:
-                    assert s.weights.tolist() == weights.tolist()
-                else:
-                    np.testing.assert_allclose(s.weights, weights, rtol=1e-15, atol=0.0)
+                w = (1.0 / d) / (1.0 / d).sum()
+                c = w @ anchors / w.sum()
+                u = anchors - c
+                b = d * d - (anchors * anchors).sum(axis=1) + (anchors + u) @ c
+                m = (w * u.T) @ u
+                np.testing.assert_allclose(s.w_sum, w.sum(), rtol=1e-15)
+                np.testing.assert_allclose(s.centroid, c, rtol=1e-13)
+                np.testing.assert_allclose(s.scatter, (m[0, 0], m[0, 1], m[1, 1]), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(s.g, (w * b) @ u, rtol=1e-12, atol=1e-9)
+                np.testing.assert_allclose(s.g_alpha, w @ b, rtol=1e-12, atol=1e-9)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
             build_system([(0, 0), (4, 0), (0, 4)], [1.0, 0.0, 1.0])
 
 
-class TestMaxGeneralizedEigenvalue:
-    def test_identity_gram(self):
-        # Design chosen so the weighted Gram matrix is the identity.
-        s = GtrsSystem(design=math.sqrt(3.0) * np.eye(3), rhs=np.zeros(3), weights=np.full(3, 1 / 3))
-        np.testing.assert_allclose(s.gram(), np.eye(3), atol=1e-12)
-        assert max_generalized_eigenvalue(s) == pytest.approx(1.0, abs=1e-12)
+class TestFrozenReference:
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(31)
+        for n in range(3, 11):
+            for _ in range(1000):
+                anchors, _, d = random_instance(rng, n=n, noise=float(rng.choice([0.01, 0.5, 3.0])))
+                yield anchors, d
+        yield HARD_CASE
+        yield STALLED
 
-    def test_against_characteristic_polynomial_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            anchors, _, d = random_instance(rng)
+    def test_solve_and_wls_match_bit_for_bit(self):
+        count = 0
+        for anchors, d in self.instances():
+            ref = reference_moments(*reference_build(anchors, d))
             s = build_system(anchors, d)
-            lam = max_generalized_eigenvalue(s)
-            gram = s.gram()
-            evals, evecs = np.linalg.eigh(gram)
-            inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-            m = inv_sqrt @ np.diag([1.0, 1.0, 0.0]) @ inv_sqrt
-            # Roots of det(m - x I) for the explicit 3x3 characteristic polynomial.
-            c2 = -np.trace(m)
-            c1 = 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
-            c0 = -np.linalg.det(m)
-            roots = np.roots([1.0, c2, c1, c0])
-            assert lam == pytest.approx(max(roots.real), abs=1e-10)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            anchors, _, d = random_instance(rng, n=5)
-            assert max_generalized_eigenvalue(build_system(anchors, d)) >= 0.0
+            assert s == ref
+            got, want = solve(s), solve(ref)
+            assert got.x.tolist() == want.x.tolist() and got.y.tolist() == want.y.tolist()
+            assert (got.lam, got.phi_residual, got.iterations) == (want.lam, want.phi_residual, want.iterations)
+            assert wls_locate(anchors, d).tolist() == reference_wls(ref)
+            count += 1
+        assert count == 8002
 
 
 class TestSolve:
@@ -131,26 +210,24 @@ class TestSolve:
         rng = np.random.default_rng(14)
         for _ in range(50):
             anchors, _, d = random_instance(rng)
-            s = build_system(anchors, d)
-            sol = solve(s)
+            sol = solve(build_system(anchors, d))
             xs = rng.uniform(-5, 25, (2000, 2))
             ys = np.column_stack([xs, (xs * xs).sum(axis=1)])
-            resid = ys @ s.design.T - s.rhs
-            best = float((s.weights * resid * resid).sum(axis=1).min())
-            assert objective(s, sol.y) <= best
+            assert objective(anchors, d, sol.y)[0] <= objective(anchors, d, ys).min()
 
     def test_multiplier_function_strictly_decreasing(self):
         rng = np.random.default_rng(15)
         anchors, _, d = random_instance(rng)
-        s = build_system(anchors, d)
-        gram, b = s.gram(), s.gram_rhs()
-        lam_max = max_generalized_eigenvalue(s)
+        g, b = gram(anchors, d)
+        q = np.diag([1.0, 1.0, 0.0])
+        # G + lam Q stays positive definite right of -1 / (largest eigenvalue of G^-1 Q).
+        left = -1.0 / np.linalg.eigvals(np.linalg.solve(g, q)).real.max()
 
         def phi(lam):
-            y = np.linalg.solve(gram + lam * np.diag([1.0, 1.0, 0.0]), b + [0, 0, 0.5 * lam])
+            y = np.linalg.solve(g + lam * q, b + [0, 0, 0.5 * lam])
             return y[0] ** 2 + y[1] ** 2 - y[2]
 
-        lams = np.linspace(-1.0 / lam_max + 1e-3, 50.0, 40)
+        lams = np.linspace(left + 1e-3, 50.0, 40)
         vals = [phi(lam) for lam in lams]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -160,25 +237,21 @@ class TestSolve:
         rng = np.random.default_rng(21)
         for _ in range(50):
             anchors, _, d = random_instance(rng)
-            s = build_system(anchors, d)
-            sol = solve(s)
-            free = np.linalg.solve(s.gram(), s.gram_rhs())
+            sol = solve(build_system(anchors, d))
+            free = np.linalg.solve(*gram(anchors, d))
             projected = np.array([free[0], free[1], free[0] ** 2 + free[1] ** 2])
-            assert objective(s, sol.y) <= objective(s, projected) + 1e-9
+            assert objective(anchors, d, sol.y)[0] <= objective(anchors, d, projected)[0] + 1e-9
 
     def test_weight_scaling_leaves_solution(self):
         rng = np.random.default_rng(16)
         anchors, _, d = random_instance(rng)
         s = build_system(anchors, d)
-        scaled = GtrsSystem(design=s.design, rhs=s.rhs, weights=7.5 * s.weights)
         a = solve(s)
-        b = solve(scaled)
+        b = solve(scaled(s, 7.5))
         np.testing.assert_allclose(a.x, b.x, atol=1e-9)
 
     def test_reaches_tolerance_where_lifted_solves_stalled(self):
-        anchors = np.array([(16.974, 5.446), (11.154, 19.743), (16.725, 5.853)])
-        d = np.array([13.681, 16.795, 13.53])
-        sol = solve(build_system(anchors, d))
+        sol = solve(build_system(*STALLED))
         assert abs(sol.phi_residual) <= 1e-10
         assert sol.iterations < 100
 
@@ -187,12 +260,10 @@ class TestSolve:
         for scale in (1.0, 7.5):
             for _ in range(50):
                 anchors, _, d = random_instance(rng, n=int(rng.integers(3, 7)))
-                s = build_system(anchors, d)
-                s = GtrsSystem(design=s.design, rhs=s.rhs, weights=scale * s.weights)
-                sol = solve(s)
+                sol = solve(scaled(build_system(anchors, d), scale))
+                g, b = gram(anchors, d)
                 y = np.linalg.solve(
-                    s.gram() + sol.lam * np.diag([1.0, 1.0, 0.0]),
-                    s.gram_rhs() + [0.0, 0.0, 0.5 * sol.lam],
+                    scale * g + sol.lam * np.diag([1.0, 1.0, 0.0]), scale * b + [0.0, 0.0, 0.5 * sol.lam]
                 )
                 np.testing.assert_allclose(sol.y, y, rtol=1e-8, atol=1e-8)
 
@@ -200,9 +271,8 @@ class TestSolve:
         # A 4 m square with every range 10 m: the gradient has no component
         # on the scatter eigenvectors and phi stays negative up to the pole,
         # so the optima form a circle about the centroid.
-        anchors = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
-        s = build_system(anchors, np.full(4, 10.0))
-        sol = solve(s)
+        anchors, d = HARD_CASE
+        sol = solve(build_system(anchors, d))
         # The solver's stop: tol times the weighted mean squared distance of
         # the anchors from their centroid (8 m^2).
         assert abs(sol.phi_residual) <= 1e-10 * 8.0
@@ -213,14 +283,8 @@ class TestSolve:
         angle = np.linspace(0.0, 2.0 * np.pi, 73)[None, :]
         x = np.stack([2.0 + radius * np.cos(angle), 2.0 + radius * np.sin(angle)], axis=-1).reshape(-1, 2)
         feasible = np.column_stack([x, (x * x).sum(axis=1)])
-        best = (s.weights * (feasible @ s.design.T - s.rhs) ** 2).sum(axis=1).min()
-        assert objective(s, sol.y) <= best
+        assert objective(anchors, d, sol.y)[0] <= objective(anchors, d, feasible).min()
         assert np.linalg.norm(sol.x - 2.0) == pytest.approx(math.sqrt(84.0), rel=1e-9)
-
-    def test_nonstandard_design_rejected(self):
-        s = GtrsSystem(design=math.sqrt(3.0) * np.eye(3), rhs=np.ones(3), weights=np.full(3, 1 / 3))
-        with pytest.raises(ValueError, match="standard"):
-            solve(s)
 
     def test_iterations_within_budget(self):
         rng = np.random.default_rng(18)
