@@ -62,7 +62,10 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
     each anchor's samples; honest anchors yield values near zero, possibly
     negative through noise.
     """
-    est = distances_to(np.asarray(anchors, dtype=float).tolist(), np.asarray(x_est, dtype=float).tolist())
+    anchors = np.asarray(anchors, dtype=float)
+    if m.samples.shape[0] != anchors.shape[0]:
+        raise ValueError("one sample row per anchor required")
+    est = distances_to(anchors.tolist(), np.asarray(x_est, dtype=float).tolist())
     return (m.samples - np.array(est)[:, None]).mean(axis=1)
 
 

@@ -105,22 +105,15 @@ def detection_bounds(s: ErrorStats) -> DetectionBounds:
     mu = s.mu.tolist()
     mu_a, sigma, tau = mu[a], s.sigma_y, s.tau
     p_exceed = _q((tau + mu_a) / sigma) + _q((tau - mu_a) / sigma)
-    up_d = min(1.0, max(0.0, p_exceed))
-
-    # Per honest anchor, the arithmetic of prob_abs_less and prob_abs_leq.
-    less, leq = [], []
-    for mu_i in mu[:a] + mu[a + 1:]:
-        rot_a = (mu_a - mu_i) / _SQRT2 / sigma
-        rot_i = (mu_a + mu_i) / _SQRT2 / sigma
-        less.append(min(1.0, max(0.0, _q(rot_a) * _q(-rot_i) + _q(-rot_a) * _q(rot_i))))
-        leq.append(min(1.0, max(0.0, 1.0 - (_q((tau + mu_i) / sigma) + _q((tau - mu_i) / sigma)))))
+    honest = mu[:a] + mu[a + 1:]
 
     # Union bound: 1 - sum_i P(|y_a| < |y_i|) - P(|y_a| <= tau).
-    lpd1 = 1.0 - sum(less)
-    lpd1 -= min(1.0, max(0.0, 1.0 - p_exceed))
+    lpd1 = 1.0 - sum(prob_abs_less(mu_a, mu_i, sigma) for mu_i in honest)
+    lpd1 -= prob_abs_leq(tau, mu_a, sigma)
     lpd1 = min(1.0, max(0.0, lpd1))
 
-    lpd2 = math.prod(leq, start=p_exceed)
+    lpd2 = math.prod((prob_abs_leq(tau, mu_i, sigma) for mu_i in honest), start=p_exceed)
     lpd2 = min(1.0, max(0.0, lpd2))
 
+    up_d = min(1.0, max(0.0, p_exceed))
     return DetectionBounds(lpd1=lpd1, lpd2=lpd2, lp_d=max(lpd1, lpd2), up_d=up_d)

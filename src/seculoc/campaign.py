@@ -129,6 +129,8 @@ class CampaignConfig:
             problems.append("sigma must be positive and finite")
         if not 0.0 <= self.tau <= 1.0:
             problems.append("tau must lie in [0, 1]")
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
         if not self.delta_grid:
             problems.append("delta_grid must not be empty")
         elif not all(math.isfinite(v) and v >= 0 for v in self.delta_grid):
@@ -212,8 +214,6 @@ def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
 def _trial_bounds(scene, attack_set, delta, x_init, mset, cfg):
     d_bar = reduce_samples(mset)
     m_d = median_distance(d_bar)
-    if m_d <= 0:
-        return None
     anchors = scene.anchors.tolist()
     mu = distances_to(anchors, scene.target.tolist())
     attacker = next(iter(attack_set))
@@ -266,13 +266,12 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
         and not (attack_set & res.detection.geometric_flags)
     ):
         b = _trial_bounds(scene, attack_set, delta, res.x_init, mset, cfg)
-        if b is not None:
-            cell[_LPD1] += b.lpd1
-            cell[_LPD2] += b.lpd2
-            cell[_LPD] += b.lp_d
-            cell[_UPD] += b.up_d
-            cell[_NBOUNDS] += 1
-            cell[_THRESH_HITS] += _threshold_event(cfg, res.detection, attack_set)
+        cell[_LPD1] += b.lpd1
+        cell[_LPD2] += b.lpd2
+        cell[_LPD] += b.lp_d
+        cell[_UPD] += b.up_d
+        cell[_NBOUNDS] += 1
+        cell[_THRESH_HITS] += _threshold_event(cfg, res.detection, attack_set)
 
 
 def _deployment_partial(args: tuple[CampaignConfig, int]):

@@ -120,31 +120,23 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
 
     points: dict[tuple[int, int], np.ndarray] = {}
     disjoint = set()
-    # Only disjoint pairs need their relation, for the containment flags.
-    relations: dict[tuple[int, int], CircleRelation] = {}
+    # contained[i]: how many circles circle i strictly contains; only
+    # disjoint pairs can hold one inside the other.
+    contained = [0] * n
     for i in range(n - 1):
         for j in range(i + 1, n):
             meet = intersect_circles(circles[i], circles[j])
             if meet is not None:
                 points[(i, j)] = meet
-            else:
-                disjoint.add((i, j))
-                relations[(i, j)] = classify_pair(circles[i], circles[j])
-
-    def contains_all(i: int) -> bool:
-        for j in range(n):
-            if j == i:
                 continue
-            rel = relations.get((i, j) if i < j else (j, i))
-            wanted = (
-                CircleRelation.FIRST_CONTAINS_SECOND if i < j
-                else CircleRelation.SECOND_CONTAINS_FIRST
-            )
-            if rel is not wanted:
-                return False
-        return True
+            disjoint.add((i, j))
+            rel = classify_pair(circles[i], circles[j])
+            if rel is CircleRelation.FIRST_CONTAINS_SECOND:
+                contained[i] += 1
+            elif rel is CircleRelation.SECOND_CONTAINS_FIRST:
+                contained[j] += 1
 
-    flags = frozenset(i for i in range(n) if contains_all(i))
+    flags = frozenset(i for i, count in enumerate(contained) if count == n - 1)
     return IntersectionGraph(
         n_anchors=n, points=points, disjoint_pairs=frozenset(disjoint), geometric_flags=flags
     )
@@ -400,42 +392,34 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     return np.array([abs(r - e) / med for r, e in zip(d.tolist(), est)])
 
 
-def _check_parameters(tau: float, q: int) -> None:
-    """Reject a threshold outside [0, 1] or a network that is not planar."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    if q != 2:
-        raise ValueError("only planar (q = 2) networks are supported")
-
-
-def detect(anchors, d, tau: float, q: int = 2) -> DetectionOutcome:
+def detect(anchors, d, tau: float) -> DetectionOutcome:
     """Full detection stage: geometric flags, honest points, thresholded removal.
 
     Geometric flags are removed first; then anchors are stripped in order of
     decreasing relative error while the largest error exceeds ``tau`` and
-    more than q+1 anchors remain. The initial estimate is computed once and
-    not revised between removals. If flag removal alone leaves exactly q+1
+    more than 3 anchors remain. The initial estimate is computed once and
+    not revised between removals. If flag removal alone leaves exactly 3
     anchors the stage concludes immediately with the flagged set.
     """
-    _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
-    if anchors.shape[0] < q + 2:
-        raise ValueError("detection needs at least q + 2 anchors")
     graph = build_intersection_graph(anchors, d)
-    return _detect_from_graph(anchors, d, tau, q, graph)
+    return _detect_from_graph(anchors, d, tau, graph)
 
 
-def _detect_from_graph(anchors, d, tau, q, graph) -> DetectionOutcome:
+def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
+    """``detect`` on a built graph; ``locate_secure`` enters here too."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
     n = graph.n_anchors
     active = set(range(n))
     attackers: set[int] = set()
     for i in sorted(graph.geometric_flags):
-        if len(active) <= q + 1:
+        if len(active) <= 3:
             break
         attackers.add(i)
         active.discard(i)
-    if attackers and len(active) == q + 1:
+    if attackers and len(active) == 3:
         # The pre-filter alone fixed the verdict; nothing left to threshold.
         return DetectionOutcome(
             x_init=None,
@@ -449,14 +433,14 @@ def _detect_from_graph(anchors, d, tau, q, graph) -> DetectionOutcome:
     disjoint = restricted.disjoint_pairs
     # Never ask for fewer points than fix a position: with three honest
     # anchors left, their three mutually intersecting pairs still supply them.
-    target = max(q + 1, len(active) - len(disjoint)) if disjoint else len(active) - 1
+    target = max(3, len(active) - len(disjoint)) if disjoint else len(active) - 1
     honest = select_honest_points(restricted, target)
 
     x_init = wcm_estimate(honest, d)
     errs = relative_errors(x_init, anchors, d)
 
     err = errs.tolist()
-    while len(active) > q + 1:
+    while len(active) > 3:
         worst = max(active, key=lambda i: (err[i], -i))
         if err[worst] <= tau:
             break

@@ -36,10 +36,6 @@ class Circle:
         if self.r <= 0:
             raise ValueError(f"radius must be positive, got {self.r}")
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 class CircleRelation(Enum):
     INTERSECTING = "intersecting"

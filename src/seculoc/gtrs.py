@@ -75,8 +75,8 @@ def build_system(anchors, d) -> GtrsSystem:
         raise ValueError("one distance per anchor required")
     # Python floats from here on: at N <= 10 a numpy call costs more than its arithmetic.
     pts, dist = anchors.tolist(), d.tolist()
-    if min(dist) <= 0:
-        raise ValueError("distances must be positive")
+    if not all(0.0 < r < math.inf for r in dist):
+        raise ValueError("distances must be positive and finite")
     inv = [1.0 / r for r in dist]
     total = 0.0
     for v in inv:

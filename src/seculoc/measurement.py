@@ -75,14 +75,6 @@ class MeasurementSet:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    @property
-    def n_anchors(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def k_samples(self) -> int:
-        return self.samples.shape[1]
-
 
 def generate_measurements(
     scene: Scene,

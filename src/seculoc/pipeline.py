@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (
-    DetectionOutcome, _check_parameters, _detect_from_graph, build_intersection_graph,
-)
+from .detection import DetectionOutcome, _detect_from_graph, build_intersection_graph
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .gtrs import build_system, solve
 from .measurement import MeasurementSet, reduce_samples
@@ -31,7 +29,7 @@ class SecureLocResult:
     """Everything the secure pipeline decided for one measurement set.
 
     ``x_init`` and ``detection`` are None when the geometric pre-filter
-    already reduced the network to q+1 anchors and the clustering stage
+    already reduced the network to 3 anchors and the clustering stage
     never ran. ``chose_gtrs`` is True exactly when ``x_gtrs`` is set.
     """
 
@@ -50,24 +48,24 @@ def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
     return solve(system).x
 
 
-def locate_secure(anchors, m: MeasurementSet, tau: float, q: int = 2) -> SecureLocResult:
+def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
     """Run the full secure localization pipeline on one measurement set.
 
     Detection and geometry consume the per-anchor sample means. The refined
-    estimate is kept whenever its solve succeeds. Raises UnlocalizableError when fewer than q+1 usable
+    estimate is kept whenever its solve succeeds. Raises UnlocalizableError
+    when the network has fewer than 4 anchors, or when fewer than 3 usable
     anchors or honest candidate points remain at any stage.
     """
-    _check_parameters(tau, q)
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.shape[0] < q + 2:
-        raise UnlocalizableError("secure localization needs at least q + 2 anchors")
+    if anchors.shape[0] < 4:
+        raise UnlocalizableError("secure localization needs at least 4 anchors")
     d = reduce_samples(m)
     graph = build_intersection_graph(anchors, d)
-    outcome = _detect_from_graph(anchors, d, tau, q, graph)
+    outcome = _detect_from_graph(anchors, d, tau, graph)
     attackers = outcome.attacker_set
     survivors = sorted(set(range(anchors.shape[0])) - attackers)
 
-    # x_init is None when the pre-filter alone left q+1 anchors and the
+    # x_init is None when the pre-filter alone left 3 anchors and the
     # clustering stage never ran.
     x_init = outcome.x_init
     try:
@@ -97,8 +95,12 @@ def locate_no_detection(anchors, m: MeasurementSet) -> np.ndarray:
 def locate_perfect_detection(anchors, m: MeasurementSet, true_attackers) -> np.ndarray:
     """Benchmark: solve with the true attacker set removed."""
     anchors = np.asarray(anchors, dtype=float)
+    n = anchors.shape[0]
+    bad = [i for i in true_attackers if not 0 <= i < n]
+    if bad:
+        raise ValueError(f"attacker indices {bad} outside anchor range 0..{n - 1}")
     d = reduce_samples(m)
-    survivors = sorted(set(range(anchors.shape[0])) - set(true_attackers))
+    survivors = sorted(set(range(n)) - set(true_attackers))
     if len(survivors) < 3:
         raise UnlocalizableError("fewer than 3 honest anchors remain")
     return _gtrs_estimate(anchors, d, survivors)

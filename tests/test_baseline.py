@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from seculoc.baseline import GlrtConfig, glrt_detect, glrt_threshold, wls_locate
+from seculoc.baseline import GlrtConfig, estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
 from seculoc.bounds import q_function
 from seculoc.errors import DegenerateGeometryError
-from seculoc.measurement import AttackSpec, Scene, generate_measurements
+from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 
 ANCHORS = np.array([[0.0, 0.0], [16.0, 1.0], [2.0, 15.0], [15.0, 16.0]])
 TARGET = np.array([7.0, 9.0])
@@ -126,3 +126,11 @@ class TestGlrtDetect:
             hits += 1 in glrt_detect(TARGET, m, ANCHORS, cfg)
         # Analytic detection probability Q(Qinv(p_fa) - delta*sqrt(K)/sigma) is ~1 here.
         assert hits / trials > 0.99
+
+    def test_rejects_one_row_for_many_anchors(self):
+        m = MeasurementSet(samples=np.full((1, 5), 10.0), sigma=1.0)
+        cfg = GlrtConfig(p_fa=0.05, sigma=1.0, k_samples=5)
+        with pytest.raises(ValueError, match="one sample row per anchor"):
+            estimate_attack_intensity(TARGET, m, ANCHORS)
+        with pytest.raises(ValueError, match="one sample row per anchor"):
+            glrt_detect(TARGET, m, ANCHORS, cfg)

@@ -38,6 +38,7 @@ class TestConfig:
             dict(attackers_per_trial=3),
             dict(attackers_per_trial=2, n_anchors=4),
             dict(k_samples=0),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

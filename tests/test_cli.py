@@ -103,10 +103,11 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flag, value", [
         ("--sigma", "nan"), ("--sigma", "inf"), ("--region-side", "inf"), ("--region-side", "nan"),
-        ("--delta-grid", "0,nan"), ("--delta-grid", "0,inf"),
+        ("--delta-grid", "0,nan"), ("--delta-grid", "0,inf"), ("--seed", "-1"),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, flag, value, capsys):
-        assert run(["rmse", flag, value, "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        # The flag comes last, so it overrides FAST's own --seed.
+        assert run(["rmse", "--out", str(tmp_path / "x.csv"), *FAST, flag, value]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 

@@ -816,12 +816,12 @@ class TestDetect:
             checked += 1
         assert checked > 20
 
-    def test_rejects_bad_tau_and_dimension(self):
+    def test_rejects_bad_tau(self):
         d = square_distances()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau"):
             detect(SQUARE, d, tau=1.5)
-        with pytest.raises(ValueError):
-            detect(SQUARE, d, tau=0.3, q=3)
+        with pytest.raises(ValueError, match="tau"):
+            detect(SQUARE, d, tau=-0.1)
 
     def test_returns_outcome_type(self):
         out = detect(SQUARE, square_distances(), tau=0.3)

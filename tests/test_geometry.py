@@ -23,7 +23,7 @@ def on_circle(p, c: Circle, rtol=1e-9):
 class TestCircle:
     def test_fields(self):
         c = Circle(1.0, 2.0, 3.0)
-        assert c.center.tolist() == [1.0, 2.0]
+        assert (c.x, c.y) == (1.0, 2.0)
         assert c.r == 3.0
 
     def test_rejects_nonpositive_radius(self):

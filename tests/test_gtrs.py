@@ -157,6 +157,14 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system([(0, 0), (4, 0), (0, 4)], [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        anchors, d = [(0, 0), (4, 0), (0, 4)], [bad, 1.0, 1.0]
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve(build_system(anchors, d))
+        with pytest.raises(ValueError, match="positive and finite"):
+            wls_locate(anchors, d)
+
 
 class TestFrozenReference:
     @staticmethod

@@ -179,11 +179,9 @@ class TestLocateSecure:
         with pytest.raises(UnlocalizableError):
             locate_secure(ANCHORS[:3], noiseless(), 0.3)
 
-    def test_rejects_non_planar_network(self):
-        sc = random_scene(np.random.default_rng(10), n=5)
-        m = generate_measurements(sc, AttackSpec(), 1.0, 10, np.random.default_rng(11))
-        with pytest.raises(ValueError, match="planar"):
-            locate_secure(sc.anchors, m, 0.3, q=3)
+    def test_rejects_bad_tau(self):
+        with pytest.raises(ValueError, match="tau"):
+            locate_secure(ANCHORS, noiseless(), 1.5)
 
 
 class TestBenchmarks:
@@ -211,3 +209,8 @@ class TestBenchmarks:
     def test_perfect_detection_needs_three_survivors(self):
         with pytest.raises(UnlocalizableError):
             locate_perfect_detection(ANCHORS, noiseless(), {0, 1})
+
+    @pytest.mark.parametrize("attackers", [[7], [-1], [0, 4]])
+    def test_perfect_detection_rejects_out_of_range_attackers(self, attackers):
+        with pytest.raises(ValueError, match="outside anchor range"):
+            locate_perfect_detection(ANCHORS, noiseless(), attackers)
