@@ -33,8 +33,8 @@ class GlrtConfig:
     def __post_init__(self):
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie strictly inside (0, 1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.k_samples < 1:
             raise ValueError("need at least one sample per anchor")
 

@@ -36,10 +36,10 @@ def q_function(z):
 
 def prob_abs_leq(tau: float, mu: float, sigma: float) -> float:
     """P(|Y| <= tau) for Y ~ N(mu, sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be non-negative and finite")
     p = 1.0 - (_q((tau + mu) / sigma) + _q((tau - mu) / sigma))
     return min(1.0, max(0.0, p))
 
@@ -50,8 +50,8 @@ def prob_abs_less(mu_a: float, mu_i: float, sigma: float) -> float:
     The equal variances are essential: they keep the rotated coordinates
     independent, which is what makes the quadrant factorization exact.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     rot_a = (mu_a - mu_i) / _SQRT2
     rot_i = (mu_a + mu_i) / _SQRT2
     p = _q(rot_a / sigma) * _q(-rot_i / sigma) + _q(-rot_a / sigma) * _q(rot_i / sigma)
@@ -76,12 +76,12 @@ class ErrorStats:
         self.mu = np.asarray(self.mu, dtype=float)
         if self.mu.ndim != 1 or self.mu.size < 2:
             raise ValueError("mu must hold one mean per anchor, at least two")
-        if self.sigma_y <= 0:
-            raise ValueError("sigma_y must be positive")
+        if not 0.0 < self.sigma_y < math.inf:
+            raise ValueError("sigma_y must be positive and finite")
         if not 0 <= self.attacker_index < self.mu.size:
             raise ValueError("attacker_index outside anchor range")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError("tau must be non-negative and finite")
 
 
 class DetectionBounds(NamedTuple):

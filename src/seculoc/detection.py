@@ -11,12 +11,15 @@ could still be reached by growing its radius may simply be noise-starved.
 
 From the surviving pairs the stage picks the most compact set of candidate
 intersection points, one per pair, exactly and by the same branch-and-bound
-search at every size. From six points on the search takes the pairs cluster
-first and bounds each node only over the pairs it can still choose; the
-choice does not depend on the order. The stage averages the chosen points
-with inverse-distance weights into an initial position estimate, and
-thresholds the relative disagreement between measured and re-estimated
-ranges to name attackers.
+search at every size. Where the search does not close at its root, one
+pass first bounds every candidate as a child of the root, seeds the
+incumbent with the cheapest choice those bounds build, and drops the
+candidates no optimal choice can hold. From six points on the search takes
+the pairs cluster first and bounds each node only over the pairs it can
+still choose; the choice does not depend on the order. The stage averages
+the chosen points with inverse-distance weights into an initial position
+estimate, and thresholds the relative disagreement between measured and
+re-estimated ranges to name attackers.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
     d = np.asarray(d, dtype=float)
     n = anchors.shape[0]
     if n < 4:
-        raise ValueError("detection needs at least 4 anchors")
+        raise UnlocalizableError("secure localization needs at least 4 anchors")
     if d.shape != (n,):
         raise ValueError("one distance per anchor required")
     circles = [Circle(x, y, r) for (x, y), r in zip(anchors.tolist(), d.tolist())]
@@ -154,15 +157,20 @@ def _coord_key(points: np.ndarray) -> tuple:
     return tuple(sorted(map(tuple, np.round(points, 12))))
 
 
-# Three remaining points are scored in one array step when they come from at
-# most this many open pairs, 8 * C(8, 3) = 448 triples; over more pairs the
-# branch and bound prunes faster than the array step scores.
-_CLOSING_PAIRS = 8
+# A node closes in one array step when its completions, C(open pairs, r)
+# choices of pairs times 2^r signs, number at most this: three points from up
+# to 8 open pairs, so at four anchors the root is the whole search. Larger
+# nodes are pruned faster by the branch and bound than scored by the step.
+_CLOSING_BUDGET = 448
 # From this many points on, the branch and bound takes the pairs cluster first
 # and bounds each node over the pairs still open. Smaller searches visit a
 # few nodes above their closing steps, and the reordering mostly enlarges
 # those steps: the first ones then span nearly every pair.
 _ORDERED_SIZE = 6
+
+
+def _closes(n_open: int, r: int) -> bool:
+    return r == 2 or math.comb(n_open, r) << r <= _CLOSING_BUDGET
 
 
 @functools.cache
@@ -172,7 +180,7 @@ def _subsets(n_open: int, r: int) -> tuple[np.ndarray, ...]:
     Column k holds the k-th candidate (offset 2*pair + sign) of each choice.
     The cache keeps one table per open-pair count and r; for two points
     that is 4 * C(n_open, 2) rows, under 1 MB over all counts up to ten
-    anchors.
+    anchors, and every other table holds at most ``_CLOSING_BUDGET`` rows.
     """
     pairs = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
     signs = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.intp)
@@ -181,6 +189,14 @@ def _subsets(n_open: int, r: int) -> tuple[np.ndarray, ...]:
     for col in columns:
         col.flags.writeable = False
     return columns
+
+
+@functools.cache
+def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs within a choice of ``size`` points."""
+    iu, jv = np.triu_indices(size, 1)
+    iu.flags.writeable = jv.flags.writeable = False
+    return iu, jv
 
 
 def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
@@ -203,6 +219,39 @@ def _half_nearest(apart: np.ndarray, k: int) -> np.ndarray:
     return 0.5 * np.cumsum(np.sort(apart, axis=1)[:, :k], axis=1).T
 
 
+def _apart(dist: np.ndarray) -> np.ndarray:
+    """Distances to candidates of other pairs: each candidate's own pair, the
+    two-by-two block on the diagonal, is set infinitely far."""
+    apart = dist.copy()
+    cand = np.arange(dist.shape[0])
+    apart[cand, cand] = apart[cand, cand ^ 1] = np.inf
+    return apart
+
+
+def _root_pass(dist: np.ndarray, apart: np.ndarray, size: int):
+    """Every candidate's root bound, plus the cheapest choice those bounds build.
+
+    ``h[x]`` is half the sum of candidate x's size - 2 nearest candidates of
+    other pairs. Row c, pair q holds the smaller over q's two candidates x of
+    d(c, x) + h[x], and candidate c's bound is the sum of the size - 1
+    smallest entries of its row. Candidate c with the cheaper candidate of
+    each of those pairs is a feasible choice. Returns the bounds and the
+    least cost among those choices.
+    """
+    h = 0.5 * np.partition(apart, size - 3, axis=1)[:, :size - 2].sum(axis=1)
+    v = apart + h
+    even, odd = v[:, 0::2], v[:, 1::2]
+    per_pair = np.minimum(even, odd)
+    pairs = np.argpartition(per_pair, size - 2, axis=1)[:, :size - 1]
+    rows = np.arange(dist.shape[0])[:, None]
+    at = pairs + per_pair.shape[1] * rows  # flat offsets: a take gathers faster than a fancy index
+    bounds = per_pair.take(at).sum(axis=1)
+    choices = np.concatenate([rows, 2 * pairs + (odd < even).take(at)], axis=1)
+    iu, jv = _upper(size)
+    costs = dist[choices[:, iu], choices[:, jv]].sum(axis=1)
+    return bounds, float(costs.min())
+
+
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
@@ -213,24 +262,39 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     plus, for each of those points, its summed distance to the chosen points
     and half the sum of its r - 1 smallest distances to candidates of other
     pairs; per pair the cheaper sign counts, and the r smallest values over
-    the open pairs are added. Below ``_ORDERED_SIZE`` points the search
-    order is the caller's and those distances run over every other pair.
-    From that size on the pairs are searched cluster first, by a stable sort
-    on each pair's cheaper-sign sum of its size - 1 nearest distances to
-    other pairs, and the distances run over the open pairs only, since a
-    node can no longer choose the others (one table per first open pair,
-    built when a node first needs it). The search closes in one array step
-    that scores every completion of a node: always with two points left, and
-    with three left from at most ``_CLOSING_PAIRS`` open pairs, which at
-    four anchors is the root itself. A node is pruned only when its bound
-    exceeds the incumbent by more than 1e-9 relative, so every leaf that
-    ties the optimum up to rounding survives, whatever the order. Survivors
-    are mapped back to the caller's indices, re-scored by one gather-and-sum
-    in the caller's order and exact ties broken on the sorted coordinates,
+    the open pairs are added. A node closes in one array step that scores
+    every completion at once: always with two points left, and otherwise
+    when C(open pairs, r) * 2^r is at most ``_CLOSING_BUDGET``, which at
+    four anchors is the root itself.
+
+    A root that does not close at once first takes one root pass
+    (``_root_pass``): each candidate c gets the bound it would get as a
+    child of the root, and the cheapest of the choices built alongside
+    seeds the incumbent. The search stays exact, because the bound holds
+    for every choice S of ``size`` candidates from distinct pairs with c
+    in S: each x in S minus c has size - 2 partners in S minus c, all from
+    pairs other than its own, so cost(S) >= sum over x in S minus c of
+    d(c, x) + h[x] >= bound[c]. A candidate whose bound exceeds the
+    incumbent by more than the 1e-9 relative slack below is in no choice
+    the search could keep, so it leaves the search, and a pair left with
+    no candidate leaves with it. The search then runs on the remaining
+    pairs, usually about as many as points requested.
+
+    Below ``_ORDERED_SIZE`` points the search order is the caller's and the
+    nearest distances run over every other pair. From that size on the
+    pairs are searched cluster first, by a stable sort on each pair's
+    cheaper-sign sum of its size - 1 nearest distances to other pairs, and
+    the distances run over the open pairs only, since a node can no longer
+    choose the others (one table per first open pair, built when a node
+    first needs it). A node is pruned only when its bound exceeds the
+    incumbent by more than 1e-9 relative, so every leaf that ties the
+    optimum up to rounding survives, whatever the order. Survivors are
+    mapped back to the caller's indices, re-scored by one gather-and-sum in
+    the caller's order and exact ties broken on the sorted coordinates,
     then on (pairs, signs) in lexicographic order. A cost of exactly zero,
     which nothing beats, stops the search: its ties are the candidates of
     ``size`` pairs that share one exact point, and ``_coincident_choice``
-    applies the same tie rule to them directly.
+    applies the same tie rule to them over every candidate.
     """
     n_cand = dist.shape[0]
     n_pairs = n_cand // 2
@@ -238,11 +302,9 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     leaves: list[tuple[float, tuple[int, ...]]] = []
     ordered = size >= _ORDERED_SIZE
     search = dist  # distances in search order
+    keep = None  # the caller's index of each searched candidate, once the root pass ran
     # tables[first][r - 2, c - 2 * first]: the half-nearest term of open candidate c.
     tables: dict[int, np.ndarray] = {}
-
-    def few_open(first: int) -> bool:
-        return n_pairs - first <= _CLOSING_PAIRS
 
     def close(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
         # Every completion by r candidates of pairs from `first` on, at once.
@@ -284,7 +346,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         rest, last = sum(smallest[:-1]), smallest[-1]
         if cost + rest + last > limit:
             return
-        if r == 3 and few_open(first):
+        if _closes(n_pairs - first, r):
             close(chosen, cost, reach, first, r)
             return
         own_pair, v_list = per_pair.tolist(), v.tolist()
@@ -300,34 +362,41 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
             c += lo
             descend(chosen + (c,), cost + reach[c], reach + search[c], c // 2 + 1, r - 1)
 
-    if size == 3 and few_open(0):
-        # The root closes at once (every request at four anchors), so the
-        # bound tables, which only interior nodes read, are not built.
+    if not _closes(n_pairs, size):
+        # Seed the incumbent and search only the pairs that keep a candidate
+        # whose root bound is within it.
+        apart = _apart(dist)
+        bounds, best = _root_pass(dist, apart, size)
+        limit = best + 1e-9 * best
+        kept = np.flatnonzero((bounds <= limit).reshape(-1, 2).any(axis=1))
+        keep = (2 * kept[:, None] + np.arange(2)).ravel()
+        n_pairs, n_cand = len(kept), len(keep)
+        search = dist.take(keep, axis=0).take(keep, axis=1)
+    if _closes(n_pairs, size):
+        # The root closes at once (at four anchors always), so the bound
+        # tables, which only interior nodes read, are not built.
         close((), 0.0, np.zeros(n_cand), 0, size)
     else:
-        # Distances to candidates of other pairs: each candidate's own pair is
-        # the two-by-two block on the diagonal.
-        apart = dist.copy()
-        cand = np.arange(n_cand)
-        apart[cand, cand] = apart[cand, cand ^ 1] = np.inf
+        apart = apart.take(keep, axis=0).take(keep, axis=1)
         tables[0] = _half_nearest(apart, size - 1)
         if ordered:
             # Cluster first: a stable sort on each pair's cheaper-sign sum.
             order = np.argsort(tables[0][-1].reshape(-1, 2).min(axis=1), kind="stable")
             perm = (2 * order[:, None] + np.arange(2)).ravel()
-            search = dist.take(perm, axis=0).take(perm, axis=1)
+            keep = keep[perm]
+            search = search.take(perm, axis=0).take(perm, axis=1)
             apart = apart.take(perm, axis=0).take(perm, axis=1)
             tables[0] = tables[0].take(perm, axis=1)
         descend((), 0.0, np.zeros(n_cand), 0, size)
     if limit == 0.0:
         return _coincident_choice(flat, size)
     near = [sel for c, sel in leaves if c <= limit]
-    if ordered:
-        near = [tuple(sorted(perm[list(sel)].tolist())) for sel in near]
+    if keep is not None:
+        near = [tuple(sorted(keep[list(sel)].tolist())) for sel in near]
     if len(near) == 1:
         return list(near[0])
     idx = np.array(near)
-    iu, jv = np.triu_indices(size, 1)
+    iu, jv = _upper(size)
     comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)
     ties = idx[comp == comp.min()]
     chosen = min(ties, key=lambda sel: (_coord_key(flat[sel]), (sel // 2).tolist(), (sel % 2).tolist()))
@@ -350,7 +419,7 @@ def select_honest_points(graph: IntersectionGraph, target_size: int) -> HonestSe
         raise UnlocalizableError(
             f"only {len(pair_ids)} intersecting pairs available for {target_size} honest points"
         )
-    flat, dist = _candidate_distances(np.stack([graph.points[p] for p in pair_ids]))
+    flat, dist = _candidate_distances(np.array([graph.points[p] for p in pair_ids]))
     chosen = _most_compact(flat, dist, target_size)
     return HonestSet(selected=[(pair_ids[c // 2], flat[c].copy()) for c in chosen])
 

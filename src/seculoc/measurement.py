@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ class MeasurementSet:
             raise ValueError("samples must be an (N, K) array with K >= 1")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def generate_measurements(
@@ -89,8 +90,8 @@ def generate_measurements(
     for corrupted anchors, plus independent zero-mean Gaussian noise of
     standard deviation ``sigma``. Deterministic for a given generator state.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if k_samples < 1:
         raise ValueError("need at least one sample per anchor")
     n = scene.n_anchors

@@ -57,8 +57,6 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
     anchors or honest candidate points remain at any stage.
     """
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.shape[0] < 4:
-        raise UnlocalizableError("secure localization needs at least 4 anchors")
     d = reduce_samples(m)
     graph = build_intersection_graph(anchors, d)
     outcome = _detect_from_graph(anchors, d, tau, graph)

@@ -93,6 +93,12 @@ class TestGlrtThreshold:
         with pytest.raises(ValueError):
             GlrtConfig(p_fa=1.0, sigma=1.0, k_samples=1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # A NaN threshold never flags and an infinite one never can.
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            GlrtConfig(p_fa=0.05, sigma=sigma, k_samples=1)
+
 
 class TestGlrtDetect:
     def test_benign_noiseless_empty(self):

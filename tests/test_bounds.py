@@ -74,6 +74,14 @@ class TestProbAbsLeq:
         with pytest.raises(ValueError):
             prob_abs_leq(-0.1, 0.0, 1.0)
 
+    def test_rejects_non_finite_inputs(self):
+        # The clamp to [0, 1] would turn a NaN probability into 0.0.
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                prob_abs_leq(1.0, 0.0, sigma)
+        with pytest.raises(ValueError, match="tau must be non-negative and finite"):
+            prob_abs_leq(math.nan, 0.0, 1.0)
+
 
 class TestProbAbsLess:
     def test_exchangeable_zero_means(self):
@@ -99,8 +107,20 @@ class TestProbAbsLess:
             total = prob_abs_less(mu_a, mu_i, sigma) + prob_abs_less(mu_i, mu_a, sigma)
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            prob_abs_less(1.0, 0.0, sigma)
+
 
 class TestDetectionBounds:
+    def test_rejects_non_finite_stats(self):
+        # A NaN sigma_y made the bounds read lpd1 = 1.0 above up_d = 0.0.
+        with pytest.raises(ValueError, match="sigma_y must be positive and finite"):
+            ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=math.nan, attacker_index=0, tau=0.3)
+        with pytest.raises(ValueError, match="tau must be non-negative and finite"):
+            ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=0.4, attacker_index=0, tau=math.nan)
+
     def make_stats(self, rng):
         n = int(rng.integers(4, 7))
         mu = rng.uniform(-3, 3, n)

@@ -294,8 +294,14 @@ def graph_of(points):
     )
 
 
+def closes_by_count(steps):
+    """Every array step scores two points, or at most the closing budget of completions."""
+    return all(r == 2 or math.comb(n_open, r) << r <= detection._CLOSING_BUDGET for n_open, r in steps)
+
+
 class TestClosingStep:
-    """Three points from at most eight pairs are scored in one array step."""
+    """A node closes in one array step when its completions fit the budget:
+    three points from at most eight pairs, so the root of every such request."""
 
     @pytest.fixture
     def subsets(self, monkeypatch):
@@ -316,6 +322,7 @@ class TestClosingStep:
         assert got.pairs == pairs
         np.testing.assert_array_equal(got.points, points)
         assert ((len(g.points), 3) in subsets) == array_step
+        assert closes_by_count(subsets)
 
     def test_random_candidates_two_to_eight_pairs(self, subsets):
         rng = np.random.default_rng(11)
@@ -377,10 +384,12 @@ class TestClosingStep:
         assert select_honest_points(graph_of(points[:6]), 3).pairs == [(3, 4), (4, 5), (5, 6)]
 
     def test_nine_pairs_use_the_branch_and_bound(self, subsets):
+        # 8 * C(9, 3) = 672 triples exceed the budget, so the root does not
+        # close; the root pass drops pairs, and the search closes on the rest.
         rng = np.random.default_rng(14)
         for _ in range(10):
             self.check(graph_of(clustered_candidates(rng, 9, 1.0)), subsets, array_step=False)
-            assert all(r == 2 for _, r in subsets)
+            assert subsets and all(n_open < 9 for n_open, _ in subsets)
 
 
 def reference_most_compact(flat, dist, size):
@@ -583,6 +592,40 @@ class TestSearchOrder:
         np.testing.assert_array_equal(got.points, high)
 
 
+class TestRootPass:
+    """One pass bounds every candidate at the root, seeds the incumbent and
+    drops the candidates no optimal choice can hold."""
+
+    def test_many_pairs_match_reference(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for n, sigma in ((10, 0.1), (10, 1.0), (12, 0.1), (12, 1.0)):
+            graphs = 0
+            while graphs < 2:
+                sc = random_scene(rng, n=n)
+                m = generate_measurements(sc, AttackSpec(frozenset({0}), 0.0), sigma, 10, rng)
+                g = build_intersection_graph(sc.anchors, reduce_samples(m))
+                if len(g.points) <= 30:
+                    continue
+                flat, dist = detection._candidate_distances(np.array([g.points[p] for p in sorted(g.points)]))
+                for size in range(3, 10):
+                    assert detection._most_compact(flat, dist, size) == reference_most_compact(flat, dist, size)
+                    checked += 1
+                graphs += 1
+        assert checked >= 30
+
+    def test_search_improves_on_a_worse_incumbent(self):
+        points = clustered_candidates(np.random.default_rng(32), 10, 2.0)
+        g = graph_of(points)
+        _, dist = detection._candidate_distances(points)
+        _, incumbent = detection._root_pass(dist, detection._apart(dist), 5)
+        pairs, chosen = brute_force_selection(g, 5)
+        assert incumbent > cluster_compactness(chosen)
+        got = select_honest_points(g, 5)
+        assert got.pairs == pairs
+        np.testing.assert_array_equal(got.points, chosen)
+
+
 class TestIntersectionGraph:
     def test_restriction_keeps_the_index_space(self):
         d = square_distances()
@@ -777,6 +820,11 @@ class TestDetect:
                 fa += bool(out.attacker_set)
             rates.append(fa / ran)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    def test_rejects_small_network(self):
+        # The same error class as locate_secure, from the graph both build.
+        with pytest.raises(UnlocalizableError, match="at least 4 anchors"):
+            detect(SQUARE[:3], square_distances()[:3], tau=0.3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

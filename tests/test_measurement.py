@@ -1,5 +1,7 @@
 """Tests for seculoc.measurement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ class TestTypes:
             MeasurementSet(samples=np.ones((4, 1)), sigma=0.0)
         with pytest.raises(ValueError):
             MeasurementSet(samples=np.ones(4), sigma=1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_measurement_set_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            MeasurementSet(samples=np.ones((4, 1)), sigma=sigma)
 
 
 class TestGenerate:
