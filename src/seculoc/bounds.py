@@ -40,6 +40,8 @@ def prob_abs_leq(tau: float, mu: float, sigma: float) -> float:
         raise ValueError("sigma must be positive and finite")
     if not 0.0 <= tau < math.inf:
         raise ValueError("tau must be non-negative and finite")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     p = 1.0 - (_q((tau + mu) / sigma) + _q((tau - mu) / sigma))
     return min(1.0, max(0.0, p))
 
@@ -52,6 +54,8 @@ def prob_abs_less(mu_a: float, mu_i: float, sigma: float) -> float:
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
+    if not (math.isfinite(mu_a) and math.isfinite(mu_i)):
+        raise ValueError("means must be finite")
     rot_a = (mu_a - mu_i) / _SQRT2
     rot_i = (mu_a + mu_i) / _SQRT2
     p = _q(rot_a / sigma) * _q(-rot_i / sigma) + _q(-rot_a / sigma) * _q(rot_i / sigma)
@@ -76,6 +80,8 @@ class ErrorStats:
         self.mu = np.asarray(self.mu, dtype=float)
         if self.mu.ndim != 1 or self.mu.size < 2:
             raise ValueError("mu must hold one mean per anchor, at least two")
+        if not all(map(math.isfinite, self.mu.tolist())):
+            raise ValueError("mu must be finite")
         if not 0.0 < self.sigma_y < math.inf:
             raise ValueError("sigma_y must be positive and finite")
         if not 0 <= self.attacker_index < self.mu.size:

@@ -199,8 +199,25 @@ def _degenerate(target: np.ndarray, anchors: np.ndarray) -> bool:
     return collinear_scatter(sxx, sxy, syy)
 
 
+def _stream(*indices: int) -> np.random.Generator:
+    """``np.random.default_rng(list(indices))``, seeded from 32-bit words.
+
+    Each non-negative index is split into little-endian 32-bit words, as
+    ``SeedSequence`` splits a Python integer, so the stream is the same; a
+    ``uint32`` array skips most of the cost of converting a Python list.
+    """
+    words = []
+    for value in indices:
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
-    rng = np.random.default_rng([cfg.seed, _DEPLOY_STREAM, dep])
+    rng = _stream(cfg.seed, _DEPLOY_STREAM, dep)
     side = cfg.region_side
     for attempt in range(1000):
         target = rng.uniform(0.0, side, 2)
@@ -283,7 +300,7 @@ def _deployment_partial(args: tuple[CampaignConfig, int]):
     for corr, attack_set in enumerate(sets):
         for rep in range(cfg.n_corruptions):
             for di, delta in enumerate(cfg.delta_grid):
-                rng = np.random.default_rng([cfg.seed, _TRIAL_STREAM, dep, corr, rep, di])
+                rng = _stream(cfg.seed, _TRIAL_STREAM, dep, corr, rep, di)
                 mset = generate_measurements(
                     scene, AttackSpec(attack_set, delta), cfg.sigma, cfg.k_samples, rng
                 )

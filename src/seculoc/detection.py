@@ -11,15 +11,17 @@ could still be reached by growing its radius may simply be noise-starved.
 
 From the surviving pairs the stage picks the most compact set of candidate
 intersection points, one per pair, exactly and by the same branch-and-bound
-search at every size. Where the search does not close at its root, one
-pass first bounds every candidate as a child of the root, seeds the
-incumbent with the cheapest choice those bounds build, and drops the
-candidates no optimal choice can hold. From six points on the search takes
-the pairs cluster first and bounds each node only over the pairs it can
-still choose; the choice does not depend on the order. The stage averages
-the chosen points with inverse-distance weights into an initial position
-estimate, and thresholds the relative disagreement between measured and
-re-estimated ranges to name attackers.
+search at every size. The search runs over the candidates themselves
+(slots): a candidate is infinitely far from the other candidate of its
+pair, so no choice that holds both can win. Where the search does not
+close at its root, one pass first bounds every candidate as a child of
+the root, seeds the incumbent with the choice built from the candidate of
+least bound, and drops each candidate no optimal choice can hold. From six
+points on the search takes the slots cluster first and bounds each node
+only over the slots it can still choose; the choice does not depend on the
+order. The stage averages the chosen points with inverse-distance weights
+into an initial position estimate, and thresholds the relative
+disagreement between measured and re-estimated ranges to name attackers.
 """
 
 from __future__ import annotations
@@ -145,50 +147,49 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
     )
 
 
+@functools.cache
+def _own_pairs(n_cand: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's index and its sibling's, the other candidate of its pair."""
+    cand = np.arange(n_cand)
+    sibling = cand ^ 1
+    cand.flags.writeable = sibling.flags.writeable = False
+    return cand, sibling
+
+
 def _candidate_distances(pts: np.ndarray):
-    """Flatten (n_pairs, 2, 2) candidates to index 2*pair + sign, with all pairwise distances."""
+    """Flatten (n_pairs, 2, 2) candidates to index 2*pair + sign, with all pairwise distances.
+
+    Each candidate's own pair, the two-by-two block on the diagonal, is set
+    infinitely far, so no finite cost holds two candidates of one pair.
+    """
     flat = pts.reshape(-1, 2)
     dx = flat[:, 0, None] - flat[None, :, 0]
     dy = flat[:, 1, None] - flat[None, :, 1]
-    return flat, np.sqrt(dx * dx + dy * dy)
+    dist = np.sqrt(dx * dx + dy * dy)
+    cand, sibling = _own_pairs(len(flat))
+    dist[cand, cand] = dist[cand, sibling] = np.inf
+    return flat, dist
 
 
 def _coord_key(points: np.ndarray) -> tuple:
     return tuple(sorted(map(tuple, np.round(points, 12))))
 
 
-# A node closes in one array step when its completions, C(open pairs, r)
-# choices of pairs times 2^r signs, number at most this: three points from up
-# to 8 open pairs, so at four anchors the root is the whole search. Larger
-# nodes are pruned faster by the branch and bound than scored by the step.
-_CLOSING_BUDGET = 448
-# From this many points on, the branch and bound takes the pairs cluster first
-# and bounds each node over the pairs still open. Smaller searches visit a
-# few nodes above their closing steps, and the reordering mostly enlarges
-# those steps: the first ones then span nearly every pair.
+# A node closes in one array step when scoring its completions gathers at
+# most this many distances: C(open slots, r) choices of r points with
+# C(r, 2) distances each. 1680 = C(16, 3) * 3, three points from up to 8
+# pairs, so at four anchors the root is the whole search. Larger nodes are
+# pruned faster by the branch and bound than scored by the step.
+_CLOSING_BUDGET = 1680
+# From this many points on, the branch and bound takes the slots cluster
+# first and bounds each node over the slots still open. Smaller searches
+# visit a few nodes above their closing steps, and the reordering mostly
+# enlarges those steps: the first ones then span nearly every slot.
 _ORDERED_SIZE = 6
 
 
 def _closes(n_open: int, r: int) -> bool:
-    return r == 2 or math.comb(n_open, r) << r <= _CLOSING_BUDGET
-
-
-@functools.cache
-def _subsets(n_open: int, r: int) -> tuple[np.ndarray, ...]:
-    """Every choice of r of n_open pairs, one candidate each, as r index columns.
-
-    Column k holds the k-th candidate (offset 2*pair + sign) of each choice.
-    The cache keeps one table per open-pair count and r; for two points
-    that is 4 * C(n_open, 2) rows, under 1 MB over all counts up to ten
-    anchors, and every other table holds at most ``_CLOSING_BUDGET`` rows.
-    """
-    pairs = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
-    signs = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.intp)
-    table = (2 * pairs[:, None, :] + signs).reshape(-1, r)
-    columns = tuple(np.ascontiguousarray(table[:, k]) for k in range(r))
-    for col in columns:
-        col.flags.writeable = False
-    return columns
+    return r == 2 or math.comb(n_open, r) * math.comb(r, 2) <= _CLOSING_BUDGET
 
 
 @functools.cache
@@ -197,6 +198,24 @@ def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
     iu, jv = np.triu_indices(size, 1)
     iu.flags.writeable = jv.flags.writeable = False
     return iu, jv
+
+
+@functools.cache
+def _subsets(n_open: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every choice of r of n_open slots, with the slot pairs its cost sums over.
+
+    Returns the (M, r) table of r-combinations in lexicographic order and
+    its two (M, C(r, 2)) columns of row and column slots, so one gather and
+    a row sum score every choice. The cache keeps one table per open-slot
+    count and r; a two-point table has C(n_open, 2) rows, and every other
+    table gathers at most ``_CLOSING_BUDGET`` distances.
+    """
+    table = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
+    iu, jv = _upper(r)
+    rows, cols = table[:, iu], table[:, jv]
+    for arr in (table, rows, cols):
+        arr.flags.writeable = False
+    return table, rows, cols
 
 
 def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
@@ -214,124 +233,118 @@ def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
     return min(choices, key=lambda sel: (_coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]))
 
 
-def _half_nearest(apart: np.ndarray, k: int) -> np.ndarray:
+def _half_nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Row r - 2, column c: half the sum of row c's r - 1 smallest entries, for r - 1 <= k."""
-    return 0.5 * np.cumsum(np.sort(apart, axis=1)[:, :k], axis=1).T
+    return 0.5 * np.cumsum(np.sort(dist, axis=1)[:, :k], axis=1).T
 
 
-def _apart(dist: np.ndarray) -> np.ndarray:
-    """Distances to candidates of other pairs: each candidate's own pair, the
-    two-by-two block on the diagonal, is set infinitely far."""
-    apart = dist.copy()
-    cand = np.arange(dist.shape[0])
-    apart[cand, cand] = apart[cand, cand ^ 1] = np.inf
-    return apart
+def _root_pass(dist: np.ndarray, size: int):
+    """Every candidate's root bound, plus the cost of one choice to seed the incumbent.
 
-
-def _root_pass(dist: np.ndarray, apart: np.ndarray, size: int):
-    """Every candidate's root bound, plus the cheapest choice those bounds build.
-
-    ``h[x]`` is half the sum of candidate x's size - 2 nearest candidates of
-    other pairs. Row c, pair q holds the smaller over q's two candidates x of
-    d(c, x) + h[x], and candidate c's bound is the sum of the size - 1
-    smallest entries of its row. Candidate c with the cheaper candidate of
-    each of those pairs is a feasible choice. Returns the bounds and the
-    least cost among those choices.
+    ``h[x]`` is half the sum of candidate x's size - 2 nearest candidates,
+    all of other pairs since its own pair is infinitely far. Row c, pair q
+    holds the smaller over q's two candidates x of d(c, x) + h[x], and
+    candidate c's bound is the sum of the size - 1 smallest entries of its
+    row. The candidate with the least bound, with the cheaper candidate of
+    each of those pairs, is a feasible choice. Returns the bounds and that
+    choice's cost.
     """
-    h = 0.5 * np.partition(apart, size - 3, axis=1)[:, :size - 2].sum(axis=1)
-    v = apart + h
+    h = 0.5 * np.sort(dist, axis=1)[:, :size - 2].sum(axis=1)
+    v = dist + h
     even, odd = v[:, 0::2], v[:, 1::2]
     per_pair = np.minimum(even, odd)
-    pairs = np.argpartition(per_pair, size - 2, axis=1)[:, :size - 1]
-    rows = np.arange(dist.shape[0])[:, None]
-    at = pairs + per_pair.shape[1] * rows  # flat offsets: a take gathers faster than a fancy index
-    bounds = per_pair.take(at).sum(axis=1)
-    choices = np.concatenate([rows, 2 * pairs + (odd < even).take(at)], axis=1)
+    bounds = np.sort(per_pair, axis=1)[:, :size - 1].sum(axis=1)
+    c = int(bounds.argmin())
+    pairs = np.argpartition(per_pair[c], size - 2)[:size - 1]
+    choice = np.concatenate([[c], 2 * pairs + (odd[c, pairs] < even[c, pairs])])
     iu, jv = _upper(size)
-    costs = dist[choices[:, iu], choices[:, jv]].sum(axis=1)
-    return bounds, float(costs.min())
+    return bounds, float(dist[choice[iu], choice[jv]].sum())
 
 
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
-    A depth-first branch and bound over the pairs in one search order: each
-    subset is visited once, its pairs added in that order, and children are
-    explored cheapest first. The pairs after the last one chosen are open. A
-    node with r points still to add is bounded below by its cost so far
-    plus, for each of those points, its summed distance to the chosen points
-    and half the sum of its r - 1 smallest distances to candidates of other
-    pairs; per pair the cheaper sign counts, and the r smallest values over
-    the open pairs are added. A node closes in one array step that scores
-    every completion at once: always with two points left, and otherwise
-    when C(open pairs, r) * 2^r is at most ``_CLOSING_BUDGET``, which at
-    four anchors is the root itself.
+    A depth-first branch and bound over the candidates, here called slots,
+    in one search order: each subset is visited once, its slots added in
+    that order, and children are explored cheapest first. The slots after
+    the last one chosen are open. ``dist`` sets each slot's own pair
+    infinitely far (``_candidate_distances``), so a completion that holds
+    both slots of one pair costs +inf and never reaches the incumbent,
+    which is finite once any valid choice has been scored: a root that
+    closes at once scores every choice, and otherwise the root pass seeds
+    one. A node with r points still to add is bounded below by its cost
+    so far plus the r smallest values, over the open slots, of v[x] =
+    reach[x] + half the sum of x's r - 1 smallest distances to other
+    slots, where reach[x] is x's summed distance to the chosen slots. The
+    bound holds because a completion takes r distinct open slots, and each
+    has r - 1 partners among them; it is weaker than a per-pair bound only
+    where both slots of a pair stay open. A node closes in one array step
+    that scores every completion at once: always with two points left, and
+    otherwise when its C(open slots, r) choices gather at most
+    ``_CLOSING_BUDGET`` distances, which at four anchors is the root itself.
 
     A root that does not close at once first takes one root pass
     (``_root_pass``): each candidate c gets the bound it would get as a
-    child of the root, and the cheapest of the choices built alongside
-    seeds the incumbent. The search stays exact, because the bound holds
-    for every choice S of ``size`` candidates from distinct pairs with c
-    in S: each x in S minus c has size - 2 partners in S minus c, all from
-    pairs other than its own, so cost(S) >= sum over x in S minus c of
-    d(c, x) + h[x] >= bound[c]. A candidate whose bound exceeds the
-    incumbent by more than the 1e-9 relative slack below is in no choice
-    the search could keep, so it leaves the search, and a pair left with
-    no candidate leaves with it. The search then runs on the remaining
-    pairs, usually about as many as points requested.
+    child of the root, and one choice built alongside seeds the incumbent.
+    The search stays exact, because the bound holds for every choice S of
+    ``size`` candidates from distinct pairs with c in S: each x in S minus
+    c has size - 2 partners in S minus c, all from pairs other than its
+    own, so cost(S) >= sum over x in S minus c of d(c, x) + h[x] >=
+    bound[c]. A candidate whose bound exceeds the incumbent by more than
+    the 1e-9 relative slack below is in no choice the search could keep,
+    so it leaves the search, whatever its sibling's bound. The search then
+    runs on the remaining slots, usually about as many as points requested.
 
     Below ``_ORDERED_SIZE`` points the search order is the caller's and the
-    nearest distances run over every other pair. From that size on the
-    pairs are searched cluster first, by a stable sort on each pair's
-    cheaper-sign sum of its size - 1 nearest distances to other pairs, and
-    the distances run over the open pairs only, since a node can no longer
-    choose the others (one table per first open pair, built when a node
-    first needs it). A node is pruned only when its bound exceeds the
-    incumbent by more than 1e-9 relative, so every leaf that ties the
-    optimum up to rounding survives, whatever the order. Survivors are
-    mapped back to the caller's indices, re-scored by one gather-and-sum in
-    the caller's order and exact ties broken on the sorted coordinates,
-    then on (pairs, signs) in lexicographic order. A cost of exactly zero,
-    which nothing beats, stops the search: its ties are the candidates of
-    ``size`` pairs that share one exact point, and ``_coincident_choice``
-    applies the same tie rule to them over every candidate.
+    nearest distances run over every slot. From that size on the slots are
+    searched cluster first, by a stable sort on each slot's sum of its
+    size - 1 nearest distances, and the distances run over the open slots
+    only, since a node can no longer choose the others (one table per
+    first open slot, built when a node first needs it). A node is pruned
+    only when its bound exceeds the incumbent by more than 1e-9 relative,
+    so every leaf that ties the optimum up to rounding survives, whatever
+    the order. Survivors are mapped back to the caller's indices,
+    re-scored by one gather-and-sum in the caller's order and exact ties
+    broken on the sorted coordinates, then on (pairs, signs) in
+    lexicographic order. A cost of exactly zero, which nothing beats,
+    stops the search: its ties are the candidates of ``size`` pairs that
+    share one exact point, and ``_coincident_choice`` applies the same tie
+    rule to them over every candidate.
     """
-    n_cand = dist.shape[0]
-    n_pairs = n_cand // 2
+    n_slots = dist.shape[0]
     limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
     leaves: list[tuple[float, tuple[int, ...]]] = []
     ordered = size >= _ORDERED_SIZE
     search = dist  # distances in search order
-    keep = None  # the caller's index of each searched candidate, once the root pass ran
-    # tables[first][r - 2, c - 2 * first]: the half-nearest term of open candidate c.
+    keep = None  # the caller's index of each slot, once the root pass ran
+    # tables[first][r - 2, x - first]: the half-nearest term of open slot x.
     tables: dict[int, np.ndarray] = {}
 
     def close(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
-        # Every completion by r candidates of pairs from `first` on, at once.
+        # Every completion by r slots from `first` on, at once.
         nonlocal limit
-        lo = 2 * first
-        cols = _subsets(n_pairs - first, r)
-        tail_dist = search[lo:, lo:]
-        costs = cost + sum(tail_dist[cols[j], cols[k]] for j, k in itertools.combinations(range(r), 2))
-        if chosen:  # reach is zero at the root
-            costs += sum(reach[lo:][col] for col in cols)
+        table, rows, cols = _subsets(n_slots - first, r)
+        costs = search[first:, first:][rows, cols].sum(axis=1)
+        if chosen:  # cost and reach are zero at the root
+            costs += reach[first:][table].sum(axis=1)
+            costs += cost
         lowest = float(costs.min())
         if lowest > limit:
             return
         limit = min(limit, lowest + 1e-9 * lowest)
-        for i in np.flatnonzero(costs <= limit).tolist():
-            leaves.append((float(costs[i]), chosen + tuple(lo + int(col[i]) for col in cols)))
+        near = np.flatnonzero(costs <= limit)
+        for c, sel in zip(costs[near].tolist(), (table[near] + first).tolist()):
+            leaves.append((c, chosen + tuple(sel)))
 
     def half(first: int) -> np.ndarray:
-        lo = 2 * first
         if not ordered:
-            return tables[0][:, lo:]
+            return tables[0][:, first:]
         if first not in tables:
-            tables[first] = _half_nearest(apart[lo:, lo:], size - 1)
+            tables[first] = _half_nearest(search[first:, first:], size - 1)
         return tables[first]
 
     def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
-        # reach[c]: summed distance from candidate c to the chosen candidates.
+        # reach[x]: summed distance from slot x to the chosen slots.
         if limit == 0.0:
             # No cost beats an exact zero, and searching for its exact ties
             # (coincident points of many pairs) would enumerate them all.
@@ -339,55 +352,43 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         if r == 2:
             close(chosen, cost, reach, first, r)
             return
-        lo = 2 * first
-        v = reach[lo:] + half(first)[r - 2]
-        per_pair = v.reshape(-1, 2).min(axis=1)
-        smallest = np.sort(np.partition(per_pair, r - 1)[:r]).tolist()
-        rest, last = sum(smallest[:-1]), smallest[-1]
-        if cost + rest + last > limit:
+        v = reach[first:] + half(first)[r - 2]
+        smallest = np.sort(np.partition(v, r - 1)[:r]).tolist()
+        rest = sum(smallest[:-1])
+        if cost + rest + smallest[-1] > limit:
             return
-        if _closes(n_pairs - first, r):
+        if _closes(n_slots - first, r):
             close(chosen, cost, reach, first, r)
             return
-        own_pair, v_list = per_pair.tolist(), v.tolist()
-        # Only candidates that leave r - 1 later pairs can start a subset.
-        for c in np.argsort(v[:2 * (n_pairs - r + 1) - lo], kind="stable").tolist():
+        v_list = v.tolist()
+        # Only slots that leave r - 1 later slots can start a completion.
+        for c in np.argsort(v[:n_slots - first - r + 1], kind="stable").tolist():
             if cost + v_list[c] + rest > limit:
                 break
-            # The other r - 1 points lie in other pairs, so they add at least
-            # the r - 1 smallest per-pair values without this pair's own.
-            own = own_pair[c // 2]
-            if own <= smallest[-2] and cost + v_list[c] + rest + last - own > limit:
-                continue
-            c += lo
-            descend(chosen + (c,), cost + reach[c], reach + search[c], c // 2 + 1, r - 1)
+            c += first
+            descend(chosen + (c,), cost + reach[c], reach + search[c], c + 1, r - 1)
 
-    if not _closes(n_pairs, size):
-        # Seed the incumbent and search only the pairs that keep a candidate
-        # whose root bound is within it.
-        apart = _apart(dist)
-        bounds, best = _root_pass(dist, apart, size)
+    if not _closes(n_slots, size):
+        # Seed the incumbent and search only the candidates whose root bound
+        # is within it.
+        bounds, best = _root_pass(dist, size)
         limit = best + 1e-9 * best
-        kept = np.flatnonzero((bounds <= limit).reshape(-1, 2).any(axis=1))
-        keep = (2 * kept[:, None] + np.arange(2)).ravel()
-        n_pairs, n_cand = len(kept), len(keep)
+        keep = np.flatnonzero(bounds <= limit)
+        n_slots = len(keep)
         search = dist.take(keep, axis=0).take(keep, axis=1)
-    if _closes(n_pairs, size):
+    if _closes(n_slots, size):
         # The root closes at once (at four anchors always), so the bound
         # tables, which only interior nodes read, are not built.
-        close((), 0.0, np.zeros(n_cand), 0, size)
+        close((), 0.0, np.zeros(n_slots), 0, size)
     else:
-        apart = apart.take(keep, axis=0).take(keep, axis=1)
-        tables[0] = _half_nearest(apart, size - 1)
+        tables[0] = _half_nearest(search, size - 1)
         if ordered:
-            # Cluster first: a stable sort on each pair's cheaper-sign sum.
-            order = np.argsort(tables[0][-1].reshape(-1, 2).min(axis=1), kind="stable")
-            perm = (2 * order[:, None] + np.arange(2)).ravel()
-            keep = keep[perm]
-            search = search.take(perm, axis=0).take(perm, axis=1)
-            apart = apart.take(perm, axis=0).take(perm, axis=1)
-            tables[0] = tables[0].take(perm, axis=1)
-        descend((), 0.0, np.zeros(n_cand), 0, size)
+            # Cluster first: a stable sort on each slot's half-nearest sum.
+            order = np.argsort(tables[0][-1], kind="stable")
+            keep = keep[order]
+            search = search.take(order, axis=0).take(order, axis=1)
+            tables[0] = tables[0].take(order, axis=1)
+        descend((), 0.0, np.zeros(n_slots), 0, size)
     if limit == 0.0:
         return _coincident_choice(flat, size)
     near = [sel for c, sel in leaves if c <= limit]
@@ -498,7 +499,9 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
             geometric_flags=graph.geometric_flags,
         )
 
-    restricted = graph.restricted_to(active)
+    # With every anchor active the geometric flags are empty, so the graph
+    # equals its own restriction.
+    restricted = graph if len(active) == n else graph.restricted_to(active)
     disjoint = restricted.disjoint_pairs
     # Never ask for fewer points than fix a position: with three honest
     # anchors left, their three mutually intersecting pairs still supply them.

@@ -77,13 +77,14 @@ def intersect_circles(ci: Circle, cj: Circle) -> np.ndarray | None:
     shift = (ci.r * ci.r - cj.r * cj.r) / (2.0 * sep2)
     px = 0.5 * (ci.x + cj.x) + shift * dx
     py = 0.5 * (ci.y + cj.y) + shift * dy
+    # A flat tuple reshaped builds the array faster than nested lists.
     if k <= tol:
-        return np.array([[px, py], [px, py]])
+        return np.array((px, py, px, py)).reshape(2, 2)
     half = math.sqrt(k) / (2.0 * sep2)
     # Quarter-turn of the center offset spans the chord direction.
     tx = -half * dy
     ty = half * dx
-    return np.array([[px + tx, py + ty], [px - tx, py - ty]])
+    return np.array((px + tx, py + ty, px - tx, py - ty)).reshape(2, 2)
 
 
 def classify_pair(ci: Circle, cj: Circle) -> CircleRelation:

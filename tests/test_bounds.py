@@ -82,6 +82,12 @@ class TestProbAbsLeq:
         with pytest.raises(ValueError, match="tau must be non-negative and finite"):
             prob_abs_leq(math.nan, 0.0, 1.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean(self, mu):
+        # A NaN mean made the clamp return 0.0.
+        with pytest.raises(ValueError, match="mu must be finite"):
+            prob_abs_leq(1.0, mu, 1.0)
+
 
 class TestProbAbsLess:
     def test_exchangeable_zero_means(self):
@@ -112,6 +118,12 @@ class TestProbAbsLess:
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             prob_abs_less(1.0, 0.0, sigma)
 
+    @pytest.mark.parametrize("mu_a, mu_i", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_rejects_non_finite_means(self, mu_a, mu_i):
+        # A NaN mean made the clamp return 0.0.
+        with pytest.raises(ValueError, match="means must be finite"):
+            prob_abs_less(mu_a, mu_i, 1.0)
+
 
 class TestDetectionBounds:
     def test_rejects_non_finite_stats(self):
@@ -120,6 +132,10 @@ class TestDetectionBounds:
             ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=math.nan, attacker_index=0, tau=0.3)
         with pytest.raises(ValueError, match="tau must be non-negative and finite"):
             ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=0.4, attacker_index=0, tau=math.nan)
+        # A NaN attacker mean made lpd1 read 1.0 above up_d = 0.0.
+        for mu in ([math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, math.inf, 0.0]):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                ErrorStats(mu=mu, sigma_y=0.4, attacker_index=0, tau=0.3)
 
     def make_stats(self, rng):
         n = int(rng.integers(4, 7))

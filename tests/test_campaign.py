@@ -2,12 +2,14 @@
 
 import ast
 import csv
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seculoc import campaign
 from seculoc.campaign import (
     METHOD_NAMES,
     CampaignConfig,
@@ -210,6 +212,20 @@ class TestRunCampaign:
         stats = run_campaign(cfg)
         gap = stats.get("proposed", 0.0).rmse - stats.get("perfect_detection", 0.0).rmse
         assert gap < 0.3
+
+
+class TestStreams:
+    def test_word_seeded_stream_equals_list_seeded_generator(self):
+        # Seeds at and across the 32- and 64-bit word boundaries, where one
+        # Python integer becomes several seed words.
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
+            indices = [(seed, 1, dep) for dep in (0, 5, 2**32 + 1)]
+            indices += [(seed, 2, *rest) for rest in itertools.product((0, 399), (0, 3), (0, 1), (0, 4))]
+            for idx in indices:
+                want = np.random.default_rng(list(idx))
+                got = campaign._stream(*idx)
+                assert got.bit_generator.state == want.bit_generator.state
+                assert got.normal(size=8).tolist() == want.normal(size=8).tolist()
 
 
 class TestEmitCsv:

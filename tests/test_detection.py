@@ -1,5 +1,6 @@
 """Tests for seculoc.detection."""
 
+import functools
 import itertools
 import math
 import time
@@ -295,13 +296,15 @@ def graph_of(points):
 
 
 def closes_by_count(steps):
-    """Every array step scores two points, or at most the closing budget of completions."""
-    return all(r == 2 or math.comb(n_open, r) << r <= detection._CLOSING_BUDGET for n_open, r in steps)
+    """Every array step scores two points, or gathers at most the closing budget of distances."""
+    return all(r == 2 or math.comb(n_open, r) * math.comb(r, 2) <= detection._CLOSING_BUDGET
+               for n_open, r in steps)
 
 
 class TestClosingStep:
     """A node closes in one array step when its completions fit the budget:
-    three points from at most eight pairs, so the root of every such request."""
+    three points from at most eight pairs (16 slots), so the root of every
+    such request."""
 
     @pytest.fixture
     def subsets(self, monkeypatch):
@@ -321,7 +324,7 @@ class TestClosingStep:
         pairs, points = brute_force_selection(g, 3)
         assert got.pairs == pairs
         np.testing.assert_array_equal(got.points, points)
-        assert ((len(g.points), 3) in subsets) == array_step
+        assert ((2 * len(g.points), 3) in subsets) == array_step
         assert closes_by_count(subsets)
 
     def test_random_candidates_two_to_eight_pairs(self, subsets):
@@ -384,12 +387,23 @@ class TestClosingStep:
         assert select_honest_points(graph_of(points[:6]), 3).pairs == [(3, 4), (4, 5), (5, 6)]
 
     def test_nine_pairs_use_the_branch_and_bound(self, subsets):
-        # 8 * C(9, 3) = 672 triples exceed the budget, so the root does not
-        # close; the root pass drops pairs, and the search closes on the rest.
+        # C(18, 3) * 3 = 2448 gathered distances exceed the budget, so the
+        # root does not close; the root pass drops candidates, and the
+        # search closes on the rest.
         rng = np.random.default_rng(14)
         for _ in range(10):
             self.check(graph_of(clustered_candidates(rng, 9, 1.0)), subsets, array_step=False)
-            assert subsets and all(n_open < 9 for n_open, _ in subsets)
+            assert subsets and all(n_open < 18 for n_open, _ in subsets)
+
+
+@functools.cache
+def reference_subsets(n_open, r):
+    """The frozen search's closing table: every choice of r of n_open pairs,
+    one candidate (2*pair + sign) each, as r index columns."""
+    pairs = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
+    signs = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.intp)
+    table = (2 * pairs[:, None, :] + signs).reshape(-1, r)
+    return tuple(np.ascontiguousarray(table[:, k]) for k in range(r))
 
 
 def reference_most_compact(flat, dist, size):
@@ -397,7 +411,8 @@ def reference_most_compact(flat, dist, size):
 
     Pairs in the caller's order, each node bounded by half the nearest
     distances to candidates of every other pair, closing in one array step
-    with two points left or with three from at most 8 open pairs.
+    with two points left or with three from at most 8 open pairs. It reads
+    only distances between candidates of distinct pairs.
     """
     closing_pairs = 8
     n_cand = dist.shape[0]
@@ -411,7 +426,7 @@ def reference_most_compact(flat, dist, size):
     def close(chosen, cost, reach, first, r):
         nonlocal limit
         lo = 2 * first
-        cols = detection._subsets(n_pairs - first, r)
+        cols = reference_subsets(n_pairs - first, r)
         tail_dist = dist[lo:, lo:]
         costs = cost + sum(tail_dist[cols[j], cols[k]] for j, k in itertools.combinations(range(r), 2))
         if chosen:
@@ -527,6 +542,18 @@ class TestSearchOrder:
                 checked += 1
         assert checked == 6
 
+    def test_scenes_of_eight_to_twelve_anchors_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for n in (8, 10, 12):
+            for sigma in (0.1, 1.0):
+                for delta in (0.0, 5.0, 10.0, 15.0):
+                    for _ in range(2):
+                        for g, size in self.requested(rng, n, sigma, delta, monkeypatch):
+                            self.same_as_reference(g, size, monkeypatch)
+                            checked += 1
+        assert checked >= 40
+
     @pytest.mark.parametrize("n_pairs, size, cases", [(9, 4, 2), (10, 4, 2), (11, 4, 1), (12, 4, 1),
                                                       (8, 6, 2), (10, 6, 1)])
     def test_matches_brute_force(self, n_pairs, size, cases):
@@ -618,12 +645,44 @@ class TestRootPass:
         points = clustered_candidates(np.random.default_rng(32), 10, 2.0)
         g = graph_of(points)
         _, dist = detection._candidate_distances(points)
-        _, incumbent = detection._root_pass(dist, detection._apart(dist), 5)
+        _, incumbent = detection._root_pass(dist, 5)
         pairs, chosen = brute_force_selection(g, 5)
         assert incumbent > cluster_compactness(chosen)
         got = select_honest_points(g, 5)
         assert got.pairs == pairs
         np.testing.assert_array_equal(got.points, chosen)
+
+
+class TestSlotSearch:
+    """The search runs over candidates; a pair's two candidates are
+    infinitely far apart, so no finite cost holds both."""
+
+    def test_candidate_distances_set_each_pair_infinitely_far(self):
+        points = clustered_candidates(np.random.default_rng(33), 5, 1.0)
+        flat, dist = detection._candidate_distances(points)
+        want = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+        own = np.arange(10)[:, None] // 2 == np.arange(10)[None] // 2
+        assert np.isinf(dist[own]).all()
+        assert dist[~own].tolist() == want[~own].tolist()
+
+    def test_both_candidates_of_a_pair_stay_in_the_search(self):
+        # Pair 3 has both candidates inside the cluster, so the root pass
+        # keeps both, and only their infinite distance keeps a choice from
+        # holding both.
+        descended = 0
+        for seed, size in ((40, 6), (41, 4), (41, 5), (41, 6)):
+            points = clustered_candidates(np.random.default_rng(seed), 10, 1.0)
+            points[3] = [[10.3, 9.8], [9.7, 10.2]]
+            _, dist = detection._candidate_distances(points)
+            bounds, best = detection._root_pass(dist, size)
+            kept = bounds <= best + 1e-9 * best
+            assert kept[6] and kept[7]
+            descended += not detection._closes(int(kept.sum()), size)
+            pairs, chosen = brute_force_selection(graph_of(points), size)
+            got = select_honest_points(graph_of(points), size)
+            assert got.pairs == pairs
+            np.testing.assert_array_equal(got.points, chosen)
+        assert descended >= 2
 
 
 class TestIntersectionGraph:
