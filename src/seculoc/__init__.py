@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``geometry``: circle intersections, pair classification, compactness
+- ``geometry``: circle intersections, pair classification, distances, collinearity
 - ``measurement``: ranging model, attack model, sample reductions
 - ``detection``: intersection graph, honest-point clustering, thresholding
 - ``gtrs``: exact squared-range solver via Newton steps on the multiplier
@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .baseline import GlrtConfig, estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
-from .bounds import DetectionBounds, ErrorStats, detection_bounds, prob_abs_leq, prob_abs_less, q_function
+from .bounds import DetectionBounds, ErrorStats, detection_bounds, prob_abs_leq, prob_abs_less
 from .campaign import CampaignConfig, CampaignStats, MethodDeltaStats, emit_csv, run_campaign
 from .detection import (
     DetectionOutcome,
@@ -26,7 +26,7 @@ from .detection import (
     wcm_estimate,
 )
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
-from .geometry import Circle, CircleRelation, classify_pair, cluster_compactness, intersect_circles
+from .geometry import Circle, CircleRelation, classify_pair, intersect_circles
 from .gtrs import GtrsSolution, GtrsSystem, build_system
 from .measurement import (
     AttackSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "build_intersection_graph",
     "build_system",
     "classify_pair",
-    "cluster_compactness",
     "detect",
     "detection_bounds",
     "emit_csv",
@@ -82,7 +81,6 @@ __all__ = [
     "median_distance",
     "prob_abs_leq",
     "prob_abs_less",
-    "q_function",
     "reduce_samples",
     "relative_errors",
     "run_campaign",

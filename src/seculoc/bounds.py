@@ -22,18 +22,6 @@ def _q(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def q_function(z):
-    """Gaussian upper-tail probability Q(z) = P(Z > z) for standard normal Z.
-
-    Accepts scalars or arrays; evaluated element by element through the
-    complementary error function, accurate to well below 1e-12 over |z| <= 8.
-    """
-    if np.ndim(z) == 0:
-        return _q(float(z))
-    z = np.asarray(z, dtype=float)
-    return np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape)
-
-
 def prob_abs_leq(tau: float, mu: float, sigma: float) -> float:
     """P(|Y| <= tau) for Y ~ N(mu, sigma^2)."""
     if not 0.0 < sigma < math.inf:

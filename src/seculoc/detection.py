@@ -16,11 +16,12 @@ search at every size. The search runs over the candidates themselves
 pair, so no choice that holds both can win. Where the search does not
 close at its root, one pass first bounds every candidate as a child of
 the root, seeds the incumbent with the choice built from the candidate of
-least bound, and drops each candidate no optimal choice can hold. From six
-points on the search takes the slots cluster first and bounds each node
-only over the slots it can still choose; the choice does not depend on the
-order. The stage averages the chosen points with inverse-distance weights
-into an initial position estimate, and thresholds the relative
+least bound, and drops each candidate no optimal choice can hold. Every
+node bounds its completions over the slots it can still choose, takes its
+children in the order of those bounds, and stops at the first child whose
+sliding window of bounds exceeds the incumbent; the choice does not depend
+on the order. The stage averages the chosen points with inverse-distance
+weights into an initial position estimate, and thresholds the relative
 disagreement between measured and re-estimated ranges to name attackers.
 """
 
@@ -181,11 +182,6 @@ def _coord_key(points: np.ndarray) -> tuple:
 # pairs, so at four anchors the root is the whole search. Larger nodes are
 # pruned faster by the branch and bound than scored by the step.
 _CLOSING_BUDGET = 1680
-# From this many points on, the branch and bound takes the slots cluster
-# first and bounds each node over the slots still open. Smaller searches
-# visit a few nodes above their closing steps, and the reordering mostly
-# enlarges those steps: the first ones then span nearly every slot.
-_ORDERED_SIZE = 6
 
 
 def _closes(n_open: int, r: int) -> bool:
@@ -233,11 +229,6 @@ def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
     return min(choices, key=lambda sel: (_coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]))
 
 
-def _half_nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Row r - 2, column c: half the sum of row c's r - 1 smallest entries, for r - 1 <= k."""
-    return 0.5 * np.cumsum(np.sort(dist, axis=1)[:, :k], axis=1).T
-
-
 def _root_pass(dist: np.ndarray, size: int):
     """Every candidate's root bound, plus the cost of one choice to seed the incumbent.
 
@@ -264,24 +255,12 @@ def _root_pass(dist: np.ndarray, size: int):
 def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     """Candidates (index 2*pair + sign) of the most compact subset, one per pair.
 
-    A depth-first branch and bound over the candidates, here called slots,
-    in one search order: each subset is visited once, its slots added in
-    that order, and children are explored cheapest first. The slots after
-    the last one chosen are open. ``dist`` sets each slot's own pair
-    infinitely far (``_candidate_distances``), so a completion that holds
-    both slots of one pair costs +inf and never reaches the incumbent,
-    which is finite once any valid choice has been scored: a root that
-    closes at once scores every choice, and otherwise the root pass seeds
-    one. A node with r points still to add is bounded below by its cost
-    so far plus the r smallest values, over the open slots, of v[x] =
-    reach[x] + half the sum of x's r - 1 smallest distances to other
-    slots, where reach[x] is x's summed distance to the chosen slots. The
-    bound holds because a completion takes r distinct open slots, and each
-    has r - 1 partners among them; it is weaker than a per-pair bound only
-    where both slots of a pair stay open. A node closes in one array step
-    that scores every completion at once: always with two points left, and
-    otherwise when its C(open slots, r) choices gather at most
-    ``_CLOSING_BUDGET`` distances, which at four anchors is the root itself.
+    A depth-first branch and bound over the candidates, here called slots.
+    ``dist`` sets each slot's own pair infinitely far
+    (``_candidate_distances``), so a completion that holds both slots of one
+    pair costs +inf and never reaches the incumbent, which is finite once
+    any valid choice has been scored: a root that closes at once scores
+    every choice, and otherwise the root pass seeds one.
 
     A root that does not close at once first takes one root pass
     (``_root_pass``): each candidate c gets the bound it would get as a
@@ -292,82 +271,77 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     own, so cost(S) >= sum over x in S minus c of d(c, x) + h[x] >=
     bound[c]. A candidate whose bound exceeds the incumbent by more than
     the 1e-9 relative slack below is in no choice the search could keep,
-    so it leaves the search, whatever its sibling's bound. The search then
-    runs on the remaining slots, usually about as many as points requested.
+    so it leaves the search, whatever its sibling's bound.
 
-    Below ``_ORDERED_SIZE`` points the search order is the caller's and the
-    nearest distances run over every slot. From that size on the slots are
-    searched cluster first, by a stable sort on each slot's sum of its
-    size - 1 nearest distances, and the distances run over the open slots
-    only, since a node can no longer choose the others (one table per
-    first open slot, built when a node first needs it). A node is pruned
-    only when its bound exceeds the incumbent by more than 1e-9 relative,
-    so every leaf that ties the optimum up to rounding survives, whatever
-    the order. Survivors are mapped back to the caller's indices,
-    re-scored by one gather-and-sum in the caller's order and exact ties
-    broken on the sorted coordinates, then on (pairs, signs) in
-    lexicographic order. A cost of exactly zero, which nothing beats,
-    stops the search: its ties are the candidates of ``size`` pairs that
-    share one exact point, and ``_coincident_choice`` applies the same tie
-    rule to them over every candidate.
+    A node holds the slots chosen so far, their cost, each kept slot's
+    summed distance to them (reach) and the slots it may still add (open),
+    with r points left to add. It closes in one array step that scores
+    every completion at once: always with two points left, and otherwise
+    when its C(open, r) choices gather at most ``_CLOSING_BUDGET``
+    distances, which at four anchors is the root itself. Any other node
+    gives each open slot x the value v[x] = reach[x] + half the sum of x's
+    r - 1 smallest distances to the other open slots, and takes its
+    children in increasing v. The search stays exact:
+
+    - A completion R of r open slots costs at least cost + the sum of v
+      over R, because each x in R has r - 1 partners in R, all open.
+    - Child i holds every completion whose first slot in this order is the
+      i-th; its open slots are the ones after it. So each subset is visited
+      once, and cost plus the i-th value plus the r - 1 values after it
+      bounds every completion in child i.
+    - That window sum never decreases with i, so the children stop at the
+      first window above the incumbent.
+    - A window is cut only when it exceeds the incumbent by more than 1e-9
+      relative, so every leaf that ties the optimum up to rounding
+      survives, whatever the order.
+    - The +inf distances only enter sums, sorts and comparisons, never an
+      inf - inf.
+
+    Survivors are mapped back to the caller's indices, re-scored by one
+    gather-and-sum in the caller's order and exact ties broken on the
+    sorted coordinates, then on (pairs, signs) in lexicographic order. A
+    cost of exactly zero, which nothing beats, stops the search: its ties
+    are the candidates of ``size`` pairs that share one exact point, and
+    ``_coincident_choice`` applies the same tie rule to them over every
+    candidate.
     """
-    n_slots = dist.shape[0]
     limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
     leaves: list[tuple[float, tuple[int, ...]]] = []
-    ordered = size >= _ORDERED_SIZE
-    search = dist  # distances in search order
+    search = dist  # distances between the kept slots
     keep = None  # the caller's index of each slot, once the root pass ran
-    # tables[first][r - 2, x - first]: the half-nearest term of open slot x.
-    tables: dict[int, np.ndarray] = {}
 
-    def close(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
-        # Every completion by r slots from `first` on, at once.
+    def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, opn: np.ndarray, r: int):
+        # reach[x]: summed distance from kept slot x to the chosen slots.
         nonlocal limit
-        table, rows, cols = _subsets(n_slots - first, r)
-        costs = search[first:, first:][rows, cols].sum(axis=1)
-        if chosen:  # cost and reach are zero at the root
-            costs += reach[first:][table].sum(axis=1)
-            costs += cost
-        lowest = float(costs.min())
-        if lowest > limit:
-            return
-        limit = min(limit, lowest + 1e-9 * lowest)
-        near = np.flatnonzero(costs <= limit)
-        for c, sel in zip(costs[near].tolist(), (table[near] + first).tolist()):
-            leaves.append((c, chosen + tuple(sel)))
-
-    def half(first: int) -> np.ndarray:
-        if not ordered:
-            return tables[0][:, first:]
-        if first not in tables:
-            tables[first] = _half_nearest(search[first:, first:], size - 1)
-        return tables[first]
-
-    def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, first: int, r: int):
-        # reach[x]: summed distance from slot x to the chosen slots.
         if limit == 0.0:
             # No cost beats an exact zero, and searching for its exact ties
             # (coincident points of many pairs) would enumerate them all.
             return
-        if r == 2:
-            close(chosen, cost, reach, first, r)
+        sub = search if len(opn) == len(search) else search.take(opn, axis=0).take(opn, axis=1)
+        if _closes(len(opn), r):
+            table, rows, cols = _subsets(len(opn), r)
+            costs = sub[rows, cols].sum(axis=1)
+            if chosen:  # cost and reach are zero at the root
+                costs += reach.take(opn)[table].sum(axis=1)
+                costs += cost
+            lowest = float(costs.min())
+            if lowest > limit:
+                return
+            limit = min(limit, lowest + 1e-9 * lowest)
+            near = np.flatnonzero(costs <= limit)
+            for c, sel in zip(costs[near].tolist(), opn[table[near]].tolist()):
+                leaves.append((c, chosen + tuple(sel)))
             return
-        v = reach[first:] + half(first)[r - 2]
-        smallest = np.sort(np.partition(v, r - 1)[:r]).tolist()
-        rest = sum(smallest[:-1])
-        if cost + rest + smallest[-1] > limit:
-            return
-        if _closes(n_slots - first, r):
-            close(chosen, cost, reach, first, r)
-            return
-        v_list = v.tolist()
-        # Only slots that leave r - 1 later slots can start a completion.
-        for c in np.argsort(v[:n_slots - first - r + 1], kind="stable").tolist():
-            if cost + v_list[c] + rest > limit:
+        v = reach.take(opn) + 0.5 * np.sort(sub, axis=1)[:, :r - 1].sum(axis=1)
+        order = np.argsort(v, kind="stable")
+        vs, slots = v[order].tolist(), opn[order]
+        for i in range(len(opn) - r + 1):
+            if cost + vs[i] + sum(vs[i + 1:i + r]) > limit:
                 break
-            c += first
-            descend(chosen + (c,), cost + reach[c], reach + search[c], c + 1, r - 1)
+            c = int(slots[i])
+            descend(chosen + (c,), cost + float(reach[c]), reach + search[c], slots[i + 1:], r - 1)
 
+    n_slots = dist.shape[0]
     if not _closes(n_slots, size):
         # Seed the incumbent and search only the candidates whose root bound
         # is within it.
@@ -376,19 +350,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
         keep = np.flatnonzero(bounds <= limit)
         n_slots = len(keep)
         search = dist.take(keep, axis=0).take(keep, axis=1)
-    if _closes(n_slots, size):
-        # The root closes at once (at four anchors always), so the bound
-        # tables, which only interior nodes read, are not built.
-        close((), 0.0, np.zeros(n_slots), 0, size)
-    else:
-        tables[0] = _half_nearest(search, size - 1)
-        if ordered:
-            # Cluster first: a stable sort on each slot's half-nearest sum.
-            order = np.argsort(tables[0][-1], kind="stable")
-            keep = keep[order]
-            search = search.take(order, axis=0).take(order, axis=1)
-            tables[0] = tables[0].take(order, axis=1)
-        descend((), 0.0, np.zeros(n_slots), 0, size)
+    descend((), 0.0, np.zeros(n_slots), np.arange(n_slots), size)
     if limit == 0.0:
         return _coincident_choice(flat, size)
     near = [sel for c, sel in leaves if c <= limit]
@@ -455,10 +417,15 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
+    x_est = np.asarray(x_est, dtype=float)
+    if d.ndim != 1 or anchors.shape != (len(d), 2):
+        raise ValueError("one distance per anchor required")
+    if x_est.shape != (2,):
+        raise ValueError("x_est must be one planar point")
     med = median_distance(d)
     if med <= 0:
         raise ValueError("median of distance measurements must be positive")
-    est = distances_to(anchors.tolist(), np.asarray(x_est, dtype=float).tolist())
+    est = distances_to(anchors.tolist(), x_est.tolist())
     return np.array([abs(r - e) / med for r, e in zip(d.tolist(), est)])
 
 

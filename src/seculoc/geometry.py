@@ -1,4 +1,4 @@
-"""Planar circle geometry: intersections, pair classification, cluster compactness.
+"""Planar circle geometry: intersections, pair classification, distances, collinearity.
 
 Points are plain length-2 float arrays throughout the library; circles carry
 an anchor position as center and a measured range as radius.
@@ -135,16 +135,3 @@ def collinear_scatter(sxx: float, sxy: float, syy: float) -> bool:
     """
     larger = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
     return sxx * syy - sxy * sxy <= _COLLINEAR_RATIO * larger * larger
-
-
-def cluster_compactness(points) -> float:
-    """Sum of pairwise Euclidean distances of a point set.
-
-    Zero iff all points coincide; invariant under rigid motions and well
-    defined for collinear sets (unlike hull area). Needs at least 2 points.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
-        raise ValueError("compactness needs at least two planar points")
-    iu, jv = np.triu_indices(pts.shape[0], 1)
-    return float(np.linalg.norm(pts[iu] - pts[jv], axis=1).sum())

@@ -7,7 +7,6 @@ import pytest
 from scipy.special import ndtri
 
 from seculoc.baseline import GlrtConfig, estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
-from seculoc.bounds import q_function
 from seculoc.errors import DegenerateGeometryError
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 
@@ -15,12 +14,17 @@ ANCHORS = np.array([[0.0, 0.0], [16.0, 1.0], [2.0, 15.0], [15.0, 16.0]])
 TARGET = np.array([7.0, 9.0])
 
 
+def q_erfc(z):
+    # The Gaussian upper tail Q(z) from math.erfc.
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 def q_inverse_bisect(p):
-    # Oracle: invert the tail probability by bisection on q_function.
+    # Oracle: invert the tail probability by bisection on Q.
     lo, hi = -10.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_function(mid) > p:
+        if q_erfc(mid) > p:
             lo = mid
         else:
             hi = mid

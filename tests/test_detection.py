@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seculoc import detection
 from seculoc.detection import (
@@ -20,7 +22,7 @@ from seculoc.detection import (
     wcm_estimate,
 )
 from seculoc.errors import UnlocalizableError
-from seculoc.geometry import Circle, CircleRelation, classify_pair, cluster_compactness, intersect_circles
+from seculoc.geometry import Circle, CircleRelation, classify_pair, intersect_circles
 from seculoc.measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -29,6 +31,11 @@ CENTER = np.array([0.5, 0.5])
 
 def square_distances():
     return np.linalg.norm(SQUARE - CENTER, axis=1)
+
+
+def pairwise_distance_sum(points):
+    """Oracle: the sum of the distances between every two of the points."""
+    return sum(math.dist(p, q) for p, q in itertools.combinations(np.asarray(points).tolist(), 2))
 
 
 def random_scene(rng, n=4, side=20.0):
@@ -154,7 +161,7 @@ class TestSelectHonestPoints:
         assert len(pairs) == len(set(pairs)) == 3
 
     def test_matches_exhaustive_oracle(self):
-        # Oracle: plain itertools enumeration scored by cluster_compactness.
+        # Oracle: plain itertools enumeration scored by pairwise_distance_sum.
         rng = np.random.default_rng(2)
         checked = 0
         for n in [4] * 30 + [5] * 3:
@@ -167,9 +174,9 @@ class TestSelectHonestPoints:
                 for pair_combo in itertools.combinations(avail, size):
                     for signs in itertools.product((0, 1), repeat=size):
                         pts = [g.points[p][s] for p, s in zip(pair_combo, signs)]
-                        best = min(best, cluster_compactness(pts))
+                        best = min(best, pairwise_distance_sum(pts))
                 got = select_honest_points(g, size)
-                assert cluster_compactness(got.points) == pytest.approx(best, abs=1e-12)
+                assert pairwise_distance_sum(got.points) == pytest.approx(best, abs=1e-12)
                 checked += 1
         assert checked > 60
 
@@ -191,7 +198,7 @@ class TestSelectHonestPoints:
         iu, jv = np.triu_indices(size, 1)
         best = dist[idx[:, iu], idx[:, jv]].sum(axis=1).min()
         got = select_honest_points(g, size)
-        assert cluster_compactness(got.points) == pytest.approx(best, rel=1e-12)
+        assert pairwise_distance_sum(got.points) == pytest.approx(best, rel=1e-12)
 
     def test_excludes_far_flung_corrupted_intersections(self):
         rng = np.random.default_rng(3)
@@ -485,13 +492,30 @@ def reference_most_compact(flat, dist, size):
     return chosen.tolist()
 
 
+@st.composite
+def candidate_requests(draw):
+    """Clustered candidates of 9..14 pairs and a size of 3..8 points.
+
+    Up to four candidates are overwritten with copies of other candidates,
+    so some choices tie exactly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pairs = int(rng.integers(9, 15))
+    points = clustered_candidates(rng, n_pairs, rng.uniform(0.01, 3.0))
+    slot = st.tuples(st.integers(0, n_pairs - 1), st.integers(0, 1))
+    for (dst, s), (src, t) in draw(st.lists(st.tuples(slot, slot), max_size=4)):
+        points[dst, s] = points[src, t]
+    return points, int(rng.integers(3, 9))
+
+
 def far_points(n_pairs):
     """One candidate per pair on a 40 m grid far from the test clusters."""
     return np.array([(100.0 + 40.0 * (i % 6), 100.0 + 40.0 * (i // 6)) for i in range(n_pairs)])
 
 
 class TestSearchOrder:
-    """Cluster-first search from six points on: same selections as the frozen reference."""
+    """Each node takes its children in its own bound order: same selections
+    as the frozen reference, which searches in the caller's order."""
 
     def same_as_reference(self, g, size, monkeypatch):
         got = select_honest_points(g, size)
@@ -537,7 +561,7 @@ class TestSearchOrder:
         checked = 0
         for _ in range(6):
             for g, size in self.requested(rng, 12, 0.1, 0.0, monkeypatch):
-                assert size >= detection._ORDERED_SIZE
+                assert size >= 6
                 self.same_as_reference(g, size, monkeypatch)
                 checked += 1
         assert checked == 6
@@ -555,7 +579,7 @@ class TestSearchOrder:
         assert checked >= 40
 
     @pytest.mark.parametrize("n_pairs, size, cases", [(9, 4, 2), (10, 4, 2), (11, 4, 1), (12, 4, 1),
-                                                      (8, 6, 2), (10, 6, 1)])
+                                                      (8, 6, 2), (10, 6, 1), (11, 7, 1)])
     def test_matches_brute_force(self, n_pairs, size, cases):
         rng = np.random.default_rng(100 * n_pairs + size)
         for _ in range(cases):
@@ -565,11 +589,21 @@ class TestSearchOrder:
             assert got.pairs == pairs
             np.testing.assert_array_equal(got.points, points)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(candidate_requests())
+    def test_random_candidates_match_reference(self, case):
+        points, size = case
+        flat, dist = detection._candidate_distances(points)
+        want = reference_most_compact(flat, dist, size)
+        got = select_honest_points(graph_of(points), size)
+        assert got.pairs == [(c // 2, c // 2 + 1) for c in want]
+        np.testing.assert_array_equal(got.points, flat[want])
+
     def test_zero_cost_clusters_break_ties_on_coordinates(self, monkeypatch):
         # Pairs 0-5 meet exactly at (10, 10), pairs 6-11 at (12, 3) and the
         # highest, 14-19, at (5, 5). Every member of a zero-cost cluster has
-        # a neighbour sum of exactly zero, so the search order keeps the
-        # caller's order among them and stops at (10, 10); the tie rule
+        # a neighbour sum of exactly zero, so the root's bound order keeps
+        # the caller's order among them and stops at (10, 10); the tie rule
         # must still pick the smallest coordinates.
         meet = [(10.0, 10.0)] * 6 + [(12.0, 3.0)] * 6 + [(40.0, 40.0)] * 2 + [(5.0, 5.0)] * 6
         points = np.stack([np.array(meet), far_points(20)], axis=1)
@@ -583,7 +617,7 @@ class TestSearchOrder:
         # so every cost is an exact integer: the lines at (10, 10) and (5, 5)
         # and five coincident points plus one 7 m away at (30, 3), all
         # costing 35. The last cluster holds the highest pairs and the
-        # smallest neighbour sums (7 against 9), so the cluster-first order
+        # smallest neighbour sums (7 against 9), so the root's bound order
         # reaches it first; the tie rule must still pick the (5, 5) line.
         line = np.arange(6.0)[:, None] * [1.0, 0.0]
         far = np.array([(30.0, 3.0)] * 5 + [(37.0, 3.0)])
@@ -647,7 +681,7 @@ class TestRootPass:
         _, dist = detection._candidate_distances(points)
         _, incumbent = detection._root_pass(dist, 5)
         pairs, chosen = brute_force_selection(g, 5)
-        assert incumbent > cluster_compactness(chosen)
+        assert incumbent > pairwise_distance_sum(chosen)
         got = select_honest_points(g, 5)
         assert got.pairs == pairs
         np.testing.assert_array_equal(got.points, chosen)
@@ -772,6 +806,17 @@ class TestRelativeErrors:
     def test_zero_median_raises(self):
         with pytest.raises(ValueError):
             relative_errors(CENTER, SQUARE, np.zeros(4))
+
+    def test_rejects_one_distance_too_many(self):
+        # Five distances for four anchors once returned four errors scaled
+        # by the median of all five.
+        with pytest.raises(ValueError, match="one distance per anchor"):
+            relative_errors([2.0, 2.0], SQUARE, np.append(square_distances(), 3.0))
+
+    def test_rejects_an_estimate_that_is_not_one_planar_point(self):
+        for x_est in ([0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5):
+            with pytest.raises(ValueError, match="one planar point"):
+                relative_errors(x_est, SQUARE, square_distances())
 
     def test_equals_array_form_bit_for_bit(self):
         def array_form(x_est, anchors, d):

@@ -10,7 +10,6 @@ from seculoc.geometry import (
     Circle,
     CircleRelation,
     classify_pair,
-    cluster_compactness,
     collinear_scatter,
     intersect_circles,
 )
@@ -184,37 +183,3 @@ class TestCollinearScatter:
             rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
             assert not collinear_scatter(*self.scatter(scale * pts @ rot.T))
             assert collinear_scatter(*self.scatter(scale * line @ rot.T))
-
-
-class TestClusterCompactness:
-    def test_coincident_points(self):
-        assert cluster_compactness([(0, 0), (0, 0), (0, 0)]) == 0.0
-
-    def test_two_points(self):
-        assert cluster_compactness([(0, 0), (3, 4)]) == pytest.approx(5.0)
-
-    def test_right_triangle(self):
-        # Hand sum of the three pairwise distances.
-        got = cluster_compactness([(0, 0), (1, 0), (0, 1)])
-        assert got == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            cluster_compactness([(1.0, 1.0)])
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-5, 5, (7, 2))
-        base = cluster_compactness(pts)
-        for _ in range(10):
-            assert cluster_compactness(rng.permutation(pts)) == pytest.approx(base, abs=1e-9)
-
-    def test_rigid_motion_invariant(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(-5, 5, (6, 2))
-        base = cluster_compactness(pts)
-        for _ in range(20):
-            theta = rng.uniform(0, 2 * math.pi)
-            rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-            moved = pts @ rot.T + rng.uniform(-10, 10, 2)
-            assert cluster_compactness(moved) == pytest.approx(base, abs=1e-9)
