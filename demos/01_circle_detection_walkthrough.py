@@ -36,7 +36,7 @@ print(f"\nmeasured ranges (sample means): {np.round(d, 2)}")
 
 print("\n=== circle intersections ===")
 graph = build_intersection_graph(scene.anchors, d)
-for pair, pts in sorted(graph.points.items()):
+for pair, pts in zip(graph.pairs, graph.points):
     print(f"pair {pair}: points {np.round(pts[0], 2)} / {np.round(pts[1], 2)}")
 for pair in sorted(graph.disjoint_pairs):
     print(f"pair {pair}: circles do not meet")
@@ -47,7 +47,7 @@ else:
 
 print("\n=== honest cluster and initial estimate ===")
 outcome = detect(scene.anchors, d, tau=0.3)
-for pair, p in outcome.honest.selected:
+for pair, p in zip(outcome.honest.pairs, outcome.honest.points):
     print(f"kept point {np.round(p, 2)} from pair {pair}")
 x_init = outcome.x_init
 print(f"inverse-distance weighted center: {np.round(x_init, 3)} "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import os
 import sys
 
 from .campaign import CampaignConfig, METHOD_NAMES, emit_csv, run_campaign
@@ -155,8 +156,13 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    stats = run_campaign(cfg, threads=max(1, args.threads))
     out = args.out or f"{args.command}.csv"
+    parent = os.path.dirname(out) or os.curdir
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        # Checked before the campaign, which can run for minutes.
+        print(f"cannot write campaign CSV to {out}: {parent} is not a writable directory", file=sys.stderr)
+        return 3
+    stats = run_campaign(cfg, threads=max(1, args.threads))
     try:
         emit_csv(stats, out)
     except OSError as exc:

@@ -42,14 +42,17 @@ from .measurement import median_distance
 class IntersectionGraph:
     """Pairwise circle-intersection structure over the anchors.
 
-    ``points`` maps an anchor pair (i, j), i < j, to the (2, 2) array of its
-    candidate intersection points; ``disjoint_pairs`` holds the pairs whose
-    circles do not meet; ``geometric_flags`` holds anchors whose circle
-    strictly contains every other circle and is therefore corrupted.
+    ``pairs`` holds the anchor pairs (i, j), i < j, whose circles meet, in
+    sorted order; row p of the (P, 2, 2) array ``points`` holds the two
+    candidate intersection points of ``pairs[p]``. ``disjoint_pairs`` holds
+    the pairs whose circles do not meet; ``geometric_flags`` holds anchors
+    whose circle strictly contains every other circle and is therefore
+    corrupted.
     """
 
     n_anchors: int
-    points: dict[tuple[int, int], np.ndarray]
+    pairs: tuple[tuple[int, int], ...]
+    points: np.ndarray
     disjoint_pairs: frozenset[tuple[int, int]]
     geometric_flags: frozenset[int]
 
@@ -60,34 +63,22 @@ class IntersectionGraph:
         parent's index space and anchor count.
         """
         keep = set(keep)
-        pts = {p: v for p, v in self.points.items() if p[0] in keep and p[1] in keep}
+        rows = [p for p, (i, j) in enumerate(self.pairs) if i in keep and j in keep]
         disj = frozenset(p for p in self.disjoint_pairs if p[0] in keep and p[1] in keep)
-        return IntersectionGraph(
-            n_anchors=self.n_anchors, points=pts, disjoint_pairs=disj, geometric_flags=frozenset()
-        )
+        return IntersectionGraph(self.n_anchors, tuple(self.pairs[p] for p in rows),
+                                 self.points[rows], disj, frozenset())
 
 
 @dataclass
 class HonestSet:
     """Candidate intersection points chosen as presumably uncorrupted.
 
-    ``selected`` pairs each chosen point with the anchor pair that produced
-    it; at most one point per anchor pair is ever selected.
+    Row k of the (k, 2) array ``points`` is the point chosen from anchor
+    pair ``pairs[k]``; at most one point per anchor pair is ever selected.
     """
 
-    selected: list[tuple[tuple[int, int], np.ndarray]]
-
-    @property
-    def size(self) -> int:
-        return len(self.selected)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [p for p, _ in self.selected]
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([pt for _, pt in self.selected])
+    pairs: list[tuple[int, int]]
+    points: np.ndarray
 
 
 @dataclass
@@ -117,6 +108,8 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
+    if anchors.ndim != 2 or anchors.shape[1] != 2:
+        raise ValueError("anchors must be an (N, 2) array")
     n = anchors.shape[0]
     if n < 4:
         raise UnlocalizableError("secure localization needs at least 4 anchors")
@@ -124,7 +117,8 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
         raise ValueError("one distance per anchor required")
     circles = [Circle(x, y, r) for (x, y), r in zip(anchors.tolist(), d.tolist())]
 
-    points: dict[tuple[int, int], np.ndarray] = {}
+    pairs = []
+    coords: list[float] = []  # four per meeting pair, the two points in turn
     disjoint = set()
     # contained[i]: how many circles circle i strictly contains; only
     # disjoint pairs can hold one inside the other.
@@ -133,7 +127,8 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
         for j in range(i + 1, n):
             meet = intersect_circles(circles[i], circles[j])
             if meet is not None:
-                points[(i, j)] = meet
+                pairs.append((i, j))
+                coords.extend(meet)
                 continue
             disjoint.add((i, j))
             rel = classify_pair(circles[i], circles[j])
@@ -143,18 +138,8 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
                 contained[j] += 1
 
     flags = frozenset(i for i, count in enumerate(contained) if count == n - 1)
-    return IntersectionGraph(
-        n_anchors=n, points=points, disjoint_pairs=frozenset(disjoint), geometric_flags=flags
-    )
-
-
-@functools.cache
-def _own_pairs(n_cand: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each candidate's index and its sibling's, the other candidate of its pair."""
-    cand = np.arange(n_cand)
-    sibling = cand ^ 1
-    cand.flags.writeable = sibling.flags.writeable = False
-    return cand, sibling
+    points = np.array(coords, dtype=float).reshape(-1, 2, 2)  # (0, 2, 2) when no pair meets
+    return IntersectionGraph(n, tuple(pairs), points, frozenset(disjoint), flags)
 
 
 def _candidate_distances(pts: np.ndarray):
@@ -167,8 +152,8 @@ def _candidate_distances(pts: np.ndarray):
     dx = flat[:, 0, None] - flat[None, :, 0]
     dy = flat[:, 1, None] - flat[None, :, 1]
     dist = np.sqrt(dx * dx + dy * dy)
-    cand, sibling = _own_pairs(len(flat))
-    dist[cand, cand] = dist[cand, sibling] = np.inf
+    pair = np.arange(len(pts))
+    dist.reshape(len(pts), 2, len(pts), 2)[pair, :, pair] = np.inf
     return flat, dist
 
 
@@ -377,14 +362,13 @@ def select_honest_points(graph: IntersectionGraph, target_size: int) -> HonestSe
     """
     if target_size < 3:
         raise UnlocalizableError("fewer than 3 honest points cannot fix a planar position")
-    pair_ids = sorted(graph.points)
-    if len(pair_ids) < target_size:
+    if len(graph.pairs) < target_size:
         raise UnlocalizableError(
-            f"only {len(pair_ids)} intersecting pairs available for {target_size} honest points"
+            f"only {len(graph.pairs)} intersecting pairs available for {target_size} honest points"
         )
-    flat, dist = _candidate_distances(np.array([graph.points[p] for p in pair_ids]))
+    flat, dist = _candidate_distances(graph.points)
     chosen = _most_compact(flat, dist, target_size)
-    return HonestSet(selected=[(pair_ids[c // 2], flat[c].copy()) for c in chosen])
+    return HonestSet(pairs=[graph.pairs[c // 2] for c in chosen], points=flat[chosen])
 
 
 def wcm_estimate(honest: HonestSet, d) -> np.ndarray:
@@ -394,17 +378,16 @@ def wcm_estimate(honest: HonestSet, d) -> np.ndarray:
     distance, normalized to a convex combination, so points backed by long
     (and therefore less trusted) ranges pull the estimate less.
     """
-    if honest.size == 0:
+    if not honest.pairs:
         raise ValueError("cannot average an empty honest set")
     dist = np.asarray(d, dtype=float).tolist()
-    inv = [2.0 / (dist[i] + dist[j]) for (i, j), _ in honest.selected]
+    inv = [2.0 / (dist[i] + dist[j]) for i, j in honest.pairs]
     total = 0.0
     for v in inv:
         total += v
     x = y = 0.0
-    for v, (_, point) in zip(inv, honest.selected):
+    for v, (px, py) in zip(inv, honest.points.tolist()):
         w = v / total
-        px, py = point.tolist()
         x += w * px
         y += w * py
     return np.array([x, y])

@@ -1,7 +1,9 @@
 """Planar circle geometry: intersections, pair classification, distances, collinearity.
 
-Points are plain length-2 float arrays throughout the library; circles carry
-an anchor position as center and a measured range as radius.
+Circles carry an anchor position as center and a measured range as radius.
+The per-pair calls work on Python floats: ``intersect_circles`` returns the
+two points as four floats, which the detection stage gathers into one array
+for all pairs.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DegenerateGeometryError
 
@@ -63,13 +63,13 @@ def _discriminant(ci: Circle, cj: Circle) -> tuple[float, float, float, float, f
     return k, tol, sep2, dx, dy
 
 
-def intersect_circles(ci: Circle, cj: Circle) -> np.ndarray | None:
+def intersect_circles(ci: Circle, cj: Circle) -> tuple[float, float, float, float] | None:
     """Intersection points of two circles.
 
-    Returns a (2, 2) array whose rows are the two intersection points, or
-    None when the circles do not meet. A tangency (discriminant within the
-    scale-relative band of zero) returns the tangent point twice. Coincident
-    centers raise DegenerateGeometryError.
+    Returns the two points as four floats (x0, y0, x1, y1), or None when the
+    circles do not meet. Swapping the circles swaps the points. A tangency
+    (discriminant within the scale-relative band of zero) returns the tangent
+    point twice. Coincident centers raise DegenerateGeometryError.
     """
     k, tol, sep2, dx, dy = _discriminant(ci, cj)
     if k < -tol:
@@ -77,14 +77,13 @@ def intersect_circles(ci: Circle, cj: Circle) -> np.ndarray | None:
     shift = (ci.r * ci.r - cj.r * cj.r) / (2.0 * sep2)
     px = 0.5 * (ci.x + cj.x) + shift * dx
     py = 0.5 * (ci.y + cj.y) + shift * dy
-    # A flat tuple reshaped builds the array faster than nested lists.
     if k <= tol:
-        return np.array((px, py, px, py)).reshape(2, 2)
+        return px, py, px, py
     half = math.sqrt(k) / (2.0 * sep2)
     # Quarter-turn of the center offset spans the chord direction.
     tx = -half * dy
     ty = half * dx
-    return np.array((px + tx, py + ty, px - tx, py - ty)).reshape(2, 2)
+    return px + tx, py + ty, px - tx, py - ty
 
 
 def classify_pair(ci: Circle, cj: Circle) -> CircleRelation:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,19 +62,31 @@ class AttackSpec:
 
 @dataclass
 class MeasurementSet:
-    """K range samples per anchor plus the common per-sample noise level."""
+    """K range samples per anchor plus the common per-sample noise level.
+
+    ``samples`` is a read-only copy of the given array. ``means`` holds its
+    read-only per-anchor sample means, computed once as the row sums divided
+    by K: the reduction ``mean`` runs, bit for bit, without its dispatch cost.
+    """
 
     samples: np.ndarray
     sigma: float
+    means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = np.array(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[1] < 1:
             raise ValueError("samples must be an (N, K) array with K >= 1")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples must be finite")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
+        self.means = self.samples.sum(axis=1) / self.samples.shape[1]
+        self.samples.flags.writeable = self.means.flags.writeable = False
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: unpickled arrays would be writable.
+        return MeasurementSet, (self.samples, self.sigma)
 
 
 def generate_measurements(
@@ -108,12 +120,8 @@ def generate_measurements(
 
 
 def reduce_samples(m: MeasurementSet) -> np.ndarray:
-    """Per-anchor sample means; their noise std is sigma / sqrt(K).
-
-    The row sum divided by K is the reduction ``mean`` runs, bit for bit,
-    without its dispatch cost.
-    """
-    return m.samples.sum(axis=1) / m.samples.shape[1]
+    """Per-anchor sample means, read-only; their noise std is sigma / sqrt(K)."""
+    return m.means
 
 
 def median_distance(d) -> float:

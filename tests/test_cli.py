@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import seculoc.cli
 from seculoc.campaign import METHOD_NAMES, CampaignConfig
 from seculoc.cli import _build_config, _parser, main
 
@@ -136,6 +137,17 @@ class TestConfigHandling:
     def test_unwritable_out_exits_3(self, tmp_path):
         out = tmp_path / "no_dir" / "x.csv"
         assert run(["detection", "--delta-grid", "5", "--out", str(out), *FAST]) == 3
+
+    @pytest.mark.parametrize("parent", ["missing/dir", "a_file"])
+    def test_unwritable_out_fails_before_the_campaign(self, tmp_path, monkeypatch, capsys, parent):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output directory was checked")
+
+        monkeypatch.setattr(seculoc.cli, "run_campaign", no_campaign)
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / parent / "x.csv"
+        assert run(["detection", "--out", str(out), *FAST]) == 3
+        assert capsys.readouterr().err.startswith(f"cannot write campaign CSV to {out}: ")
 
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):
         ini = tmp_path / "c.ini"

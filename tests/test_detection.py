@@ -69,8 +69,8 @@ class TestBuildIntersectionGraph:
             m = generate_measurements(sc, AttackSpec(frozenset({0}), 6.0), 1.0, 1, rng)
             g = build_intersection_graph(sc.anchors, reduce_samples(m))
             all_pairs = set(itertools.combinations(range(4), 2))
-            assert set(g.points) | set(g.disjoint_pairs) == all_pairs
-            assert not set(g.points) & set(g.disjoint_pairs)
+            assert set(g.pairs) | set(g.disjoint_pairs) == all_pairs
+            assert not set(g.pairs) & set(g.disjoint_pairs)
 
     def test_matches_pairwise_classification_oracle(self):
         # Oracle: re-derive intersect/disjoint from the raw triangle inequalities.
@@ -92,7 +92,7 @@ class TestBuildIntersectionGraph:
             m = generate_measurements(sc, AttackSpec(frozenset({1}), 14.0), 1.0, 1, rng)
             g = build_intersection_graph(sc.anchors, reduce_samples(m))
             for i in g.geometric_flags:
-                touching = [p for p in g.points if i in p]
+                touching = [p for p in g.pairs if i in p]
                 assert not touching
 
 
@@ -120,9 +120,9 @@ class TestBuildIntersectionGraph:
         def check(anchors, d):
             g = build_intersection_graph(anchors, d)
             points, disjoint, flags = reference(anchors, d)
-            assert g.points.keys() == points.keys()
-            for pair, pts in points.items():
-                assert g.points[pair].tolist() == pts.tolist()
+            assert g.pairs == tuple(points)
+            assert g.points.shape == (len(points), 2, 2)
+            assert g.points.reshape(-1, 4).tolist() == [list(pts) for pts in points.values()]
             assert g.disjoint_pairs == disjoint
             assert g.geometric_flags == flags
 
@@ -142,13 +142,40 @@ class TestBuildIntersectionGraph:
         for eps in (0.0, 1e-13, -1e-13):
             check(anchors, np.array([5.0, 5.0 * (1 + eps), 3.0, 30.0]))
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(4, 8).flatmap(lambda n: st.tuples(st.integers(0, 2**32 - 1), st.permutations(range(n)))))
+    def test_relabelling_the_anchors_relabels_the_graph(self, case):
+        # New anchor k is old anchor order[k]. A pair whose anchors swap
+        # order swaps its circles, and with them its two candidates, so
+        # each row is compared as an unordered pair of points, bit for bit.
+        seed, order = case
+        rng = np.random.default_rng(seed)
+        sc = random_scene(rng, n=len(order))
+        delta = float(rng.choice([0.0, 5.0, 15.0, 40.0]))
+        d = reduce_samples(generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng))
+        g = build_intersection_graph(sc.anchors, d)
+        h = build_intersection_graph(sc.anchors[list(order)], d[list(order)])
+        new = {old: k for k, old in enumerate(order)}
+
+        def relabel(pair):
+            return tuple(sorted((new[pair[0]], new[pair[1]])))
+
+        def unordered(pts):
+            return frozenset(map(tuple, pts.tolist()))
+
+        want = {relabel(p): unordered(pts) for p, pts in zip(g.pairs, g.points)}
+        assert h.pairs == tuple(sorted(want))
+        assert [unordered(pts) for pts in h.points] == [want[p] for p in h.pairs]
+        assert h.disjoint_pairs == {relabel(p) for p in g.disjoint_pairs}
+        assert h.geometric_flags == {new[i] for i in g.geometric_flags}
+
 
 class TestSelectHonestPoints:
     def test_noiseless_points_all_near_target(self):
         d = square_distances()
         g = build_intersection_graph(SQUARE, d)
         honest = select_honest_points(g, 3)
-        for _, p in honest.selected:
+        for p in honest.points:
             np.testing.assert_allclose(p, CENTER, atol=1e-9)
 
     def test_at_most_one_point_per_pair(self):
@@ -168,12 +195,12 @@ class TestSelectHonestPoints:
             sc = random_scene(rng, n=n)
             m = generate_measurements(sc, AttackSpec(frozenset({n - 1}), 8.0), 1.0, 1, rng)
             g = build_intersection_graph(sc.anchors, reduce_samples(m))
-            avail = sorted(g.points)
+            avail = range(len(g.pairs))
             for size in range(3, min(5, len(avail)) + 1):
                 best = np.inf
                 for pair_combo in itertools.combinations(avail, size):
                     for signs in itertools.product((0, 1), repeat=size):
-                        pts = [g.points[p][s] for p, s in zip(pair_combo, signs)]
+                        pts = [g.points[p, s] for p, s in zip(pair_combo, signs)]
                         best = min(best, pairwise_distance_sum(pts))
                 got = select_honest_points(g, size)
                 assert pairwise_distance_sum(got.points) == pytest.approx(best, abs=1e-12)
@@ -188,9 +215,9 @@ class TestSelectHonestPoints:
         d = np.array([15.08, 17.65, 5.99, 14.77, 12.37, 14.32])
         g = build_intersection_graph(anchors, d)
         size = 6
-        pair_ids = sorted(g.points)
+        pair_ids = g.pairs
         assert len(pair_ids) == 15
-        flat = np.stack([g.points[p] for p in pair_ids]).reshape(-1, 2)
+        flat = g.points.reshape(-1, 2)
         dist = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
         combos = np.array(list(itertools.combinations(range(len(pair_ids)), size)))
         signs = np.array(list(itertools.product((0, 1), repeat=size)))
@@ -223,7 +250,8 @@ class TestSelectHonestPoints:
     def test_too_few_pairs_raises(self):
         g = IntersectionGraph(
             n_anchors=4,
-            points={(0, 1): np.zeros((2, 2)), (2, 3): np.ones((2, 2))},
+            pairs=((0, 1), (2, 3)),
+            points=np.stack([np.zeros((2, 2)), np.ones((2, 2))]),
             disjoint_pairs=frozenset(),
             geometric_flags=frozenset(),
         )
@@ -253,12 +281,7 @@ class TestSelectHonestPoints:
         n_pairs, size = 12, 5
         cluster = rng.normal(0.0, 0.01, (n_pairs, 2))
         decoys = rng.uniform(20, 60, (n_pairs, 2)) * rng.choice([-1, 1], (n_pairs, 2))
-        g = IntersectionGraph(
-            n_anchors=n_pairs + 1,
-            points={(i, i + 1): np.stack([cluster[i], decoys[i]]) for i in range(n_pairs)},
-            disjoint_pairs=frozenset(),
-            geometric_flags=frozenset(),
-        )
+        g = graph_of(np.stack([cluster, decoys], axis=1))
         got = select_honest_points(g, size)
         assert np.abs(got.points).max() < 0.1
 
@@ -270,8 +293,8 @@ def brute_force_selection(g, size):
     matrix; exact ties go to the sorted rounded coordinates, then to
     (pairs, signs) in lexicographic order.
     """
-    pair_ids = sorted(g.points)
-    flat = np.stack([g.points[p] for p in pair_ids]).reshape(-1, 2)
+    pair_ids = g.pairs
+    flat = g.points.reshape(-1, 2)
     dist = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
     iu, jv = np.triu_indices(size, 1)
     best = None
@@ -296,7 +319,8 @@ def graph_of(points):
     """Intersection graph holding the given (n_pairs, 2, 2) candidates, one anchor pair each."""
     return IntersectionGraph(
         n_anchors=len(points) + 1,
-        points={(i, i + 1): np.asarray(p, dtype=float) for i, p in enumerate(points)},
+        pairs=tuple((i, i + 1) for i in range(len(points))),
+        points=np.asarray(points, dtype=float),
         disjoint_pairs=frozenset(),
         geometric_flags=frozenset(),
     )
@@ -363,8 +387,9 @@ class TestClosingStep:
         offsets = np.array([(3, 4), (-3, 4), (4, -3), (-4, -3), (4, 3)], dtype=float)
         for n in (4, 5):
             g = build_intersection_graph(target + offsets[:n], np.full(n, 5.0))
-            for keep in itertools.combinations(sorted(g.points), min(len(g.points), 8)):
-                sub = IntersectionGraph(n, {p: g.points[p] for p in keep}, frozenset(), frozenset())
+            for keep in itertools.combinations(range(len(g.pairs)), min(len(g.pairs), 8)):
+                rows = list(keep)
+                sub = IntersectionGraph(n, tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
                 self.check(sub, subsets)
                 np.testing.assert_array_equal(select_honest_points(sub, 3).points, np.tile(target, (3, 1)))
 
@@ -668,7 +693,7 @@ class TestRootPass:
                 g = build_intersection_graph(sc.anchors, reduce_samples(m))
                 if len(g.points) <= 30:
                     continue
-                flat, dist = detection._candidate_distances(np.array([g.points[p] for p in sorted(g.points)]))
+                flat, dist = detection._candidate_distances(g.points)
                 for size in range(3, 10):
                     assert detection._most_compact(flat, dist, size) == reference_most_compact(flat, dist, size)
                     checked += 1
@@ -726,14 +751,16 @@ class TestIntersectionGraph:
         g = build_intersection_graph(SQUARE, d)
         sub = g.restricted_to({0, 2, 3})
         assert sub.n_anchors == g.n_anchors == 4
-        assert set(sub.points) == {(0, 2), (2, 3)}
+        assert sub.pairs == ((0, 2), (2, 3))
+        # The kept rows, in their order in the parent.
+        assert sub.points.tolist() == g.points[[g.pairs.index(p) for p in sub.pairs]].tolist()
         assert sub.disjoint_pairs == {(0, 3)}
-        assert all(j < sub.n_anchors for i, j in [*sub.points, *sub.disjoint_pairs])
+        assert all(j < sub.n_anchors for i, j in [*sub.pairs, *sub.disjoint_pairs])
 
 
 class TestWcmEstimate:
     def make_honest(self, entries):
-        return HonestSet(selected=[(pair, np.asarray(p, dtype=float)) for pair, p in entries])
+        return HonestSet(pairs=[pair for pair, _ in entries], points=np.array([p for _, p in entries], dtype=float))
 
     def test_identical_points(self):
         h = self.make_honest([((0, 1), (2.0, 3.0)), ((1, 2), (2.0, 3.0)), ((0, 2), (2.0, 3.0))])
@@ -751,7 +778,7 @@ class TestWcmEstimate:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            wcm_estimate(HonestSet(selected=[]), [1.0])
+            wcm_estimate(HonestSet(pairs=[], points=np.empty((0, 2))), [1.0])
 
     def test_equals_array_form(self):
         # Reference: the numpy form. numpy's 1-D sum adds one value at a time
@@ -760,7 +787,7 @@ class TestWcmEstimate:
         # rounding beyond.
         def array_form(honest, d):
             d = np.asarray(d, dtype=float)
-            inv = np.array([2.0 / (d[i] + d[j]) for (i, j), _ in honest.selected])
+            inv = np.array([2.0 / (d[i] + d[j]) for i, j in honest.pairs])
             inv /= inv.sum()
             return (inv[:, None] * honest.points).sum(axis=0)
 
@@ -873,7 +900,7 @@ class TestDetect:
         d[0] = 1.9
         out = detect(SQUARE, d, tau=0.3)
         assert out.geometric_flags == frozenset()
-        assert out.honest.size == 3
+        assert len(out.honest.pairs) == len(out.honest.points) == 3
         np.testing.assert_allclose(out.x_init, CENTER, atol=1e-9)
         assert out.attacker_set == frozenset({0})
 

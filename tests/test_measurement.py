@@ -1,6 +1,7 @@
 """Tests for seculoc.measurement."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -138,6 +139,26 @@ class TestReductions:
         m = MeasurementSet(samples=samples, sigma=1.0)
         oracle = np.array([row.sum() / row.size for row in samples])
         np.testing.assert_allclose(reduce_samples(m), oracle, rtol=1e-12)
+
+    def test_means_computed_once_on_a_read_only_copy(self):
+        # The set keeps a frozen copy of the samples and their row sums over
+        # K, bit for bit what numpy's mean returns; the caller's array stays
+        # its own and writable.
+        rng = np.random.default_rng(8)
+        for n, k in ((4, 1), (5, 10), (10, 37)):
+            samples = rng.uniform(1, 30, (n, k))
+            m = MeasurementSet(samples=samples, sigma=1.0)
+            assert m.means.tolist() == (samples.sum(axis=1) / k).tolist() == samples.mean(axis=1).tolist()
+            assert reduce_samples(m) is m.means
+            assert not np.shares_memory(m.samples, samples)
+            for frozen in (m.samples, m.means):
+                with pytest.raises(ValueError, match="read-only"):
+                    frozen[0] = 0.0
+            copy = pickle.loads(pickle.dumps(m))
+            assert copy.means.tolist() == m.means.tolist()
+            assert not (copy.samples.flags.writeable or copy.means.flags.writeable)
+            samples[0] += 1.0
+            assert m.samples[0].tolist() != samples[0].tolist()
 
     def test_median_odd(self):
         assert median_distance([1.0, 2.0, 3.0]) == 2.0

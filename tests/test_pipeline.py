@@ -5,8 +5,9 @@ import pytest
 
 import seculoc.pipeline
 from seculoc.baseline import estimate_attack_intensity
+from seculoc.detection import build_intersection_graph
 from seculoc.errors import NoRootError, UnlocalizableError
-from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
+from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements, reduce_samples
 from seculoc.pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
 ANCHORS = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]])
@@ -126,8 +127,10 @@ class TestLocateSecure:
                 continue
             if res.attacker_set != frozenset({att}) or res.x_gtrs is None:
                 continue
-            bumped = MeasurementSet(samples=m.samples.copy(), sigma=m.sigma)
-            bumped.samples[att] += 2.0
+            # Bump before constructing: the set's means are computed once.
+            samples = m.samples.copy()
+            samples[att] += 2.0
+            bumped = MeasurementSet(samples=samples, sigma=m.sigma)
             try:
                 res2 = locate_secure(sc.anchors, bumped, 0.3)
             except UnlocalizableError:
@@ -182,6 +185,16 @@ class TestLocateSecure:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError, match="tau"):
             locate_secure(ANCHORS, noiseless(), 1.5)
+
+    @pytest.mark.parametrize("anchors", [np.zeros((4, 3)), np.zeros(4), np.zeros((4, 2, 1)), np.zeros((2, 4))],
+                             ids=["4x3", "4", "4x2x1", "2x4"])
+    @pytest.mark.parametrize("entry", [
+        lambda anchors, m: build_intersection_graph(anchors, reduce_samples(m)),
+        lambda anchors, m: locate_secure(anchors, m, 0.3),
+    ], ids=["build_intersection_graph", "locate_secure"])
+    def test_rejects_anchors_that_are_not_n_by_2(self, entry, anchors):
+        with pytest.raises(ValueError, match=r"anchors must be an \(N, 2\) array"):
+            entry(anchors, noiseless())
 
 
 class TestBenchmarks:
