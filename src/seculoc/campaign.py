@@ -175,7 +175,6 @@ class MethodDeltaStats:
 class CampaignStats:
     rows: list[MethodDeltaStats] = field(default_factory=list)
     resampled_deployments: int = 0
-    config: CampaignConfig | None = None
 
     def get(self, method: str, delta: float) -> MethodDeltaStats:
         for row in self.rows:
@@ -372,7 +371,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignStats:
     for acc, rs in partials:
         total += acc
         resamples += rs
-    return CampaignStats(rows=_finalize(cfg, total), resampled_deployments=resamples, config=cfg)
+    return CampaignStats(rows=_finalize(cfg, total), resampled_deployments=resamples)
 
 
 _CSV_HEADER = (

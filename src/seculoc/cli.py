@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 
-from .campaign import CampaignConfig, METHOD_NAMES, emit_csv, run_campaign
+from .campaign import CampaignConfig, emit_csv, run_campaign
 
 # Subcommand -> (description, preset campaign values).
 _SUBCOMMANDS = {
@@ -46,7 +47,7 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
             except ValueError:
                 raise ValueError(f"bad delta grid {text!r}") from None
             step = values[-1] - values[-2]
-            if step <= 0 or stop <= values[-1]:
+            if step <= 0 or not values[-1] < stop < math.inf:
                 raise ValueError(f"bad delta grid {text!r}: progression must increase")
             nxt = values[-1] + step
             while nxt < stop - 1e-9:
@@ -64,11 +65,8 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    unknown = [m for m in methods if m not in METHOD_NAMES]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {METHOD_NAMES}")
-    return methods
+    # CampaignConfig.validate rejects unknown names.
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
@@ -83,7 +81,10 @@ def _parse_field(name: str, raw):
 
 def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!r} is malformed: {exc}") from None
     if not read:
         raise ValueError(f"config file {path!r} not found or unreadable")
     if "campaign" not in parser:

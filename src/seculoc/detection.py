@@ -8,6 +8,8 @@ from all others; or only some pairs intersect. A circle disjoint from all
 others is flagged as corrupted only when it strictly contains every other
 circle, because an attack can only enlarge a range: an isolated circle that
 could still be reached by growing its radius may simply be noise-starved.
+Containment needs a strictly larger radius, so only the strictly largest
+circle can be flagged: at most one anchor, which meets no other circle.
 
 From the surviving pairs the stage picks the most compact set of candidate
 intersection points, one per pair, exactly and by the same branch-and-bound
@@ -47,26 +49,15 @@ class IntersectionGraph:
     candidate intersection points of ``pairs[p]``. ``disjoint_pairs`` holds
     the pairs whose circles do not meet; ``geometric_flags`` holds anchors
     whose circle strictly contains every other circle and is therefore
-    corrupted.
+    corrupted. Only the strictly largest circle can contain all the others,
+    so at most one anchor is flagged, and it meets none of them: no row of
+    ``pairs`` holds a flagged anchor.
     """
 
-    n_anchors: int
     pairs: tuple[tuple[int, int], ...]
     points: np.ndarray
     disjoint_pairs: frozenset[tuple[int, int]]
     geometric_flags: frozenset[int]
-
-    def restricted_to(self, keep) -> "IntersectionGraph":
-        """Sub-graph over a subset of anchors; flags are not recomputed.
-
-        Pairs keep their original anchor indices, so the sub-graph keeps the
-        parent's index space and anchor count.
-        """
-        keep = set(keep)
-        rows = [p for p, (i, j) in enumerate(self.pairs) if i in keep and j in keep]
-        disj = frozenset(p for p in self.disjoint_pairs if p[0] in keep and p[1] in keep)
-        return IntersectionGraph(self.n_anchors, tuple(self.pairs[p] for p in rows),
-                                 self.points[rows], disj, frozenset())
 
 
 @dataclass
@@ -85,9 +76,9 @@ class HonestSet:
 class DetectionOutcome:
     """Result of the detection stage.
 
-    ``relative_errors`` covers every input anchor (including ones flagged on
-    geometric grounds); ``attacker_set`` holds both geometric flags and
-    threshold removals. When the geometric flags alone shrink the network to
+    ``relative_errors`` covers every input anchor (including one flagged on
+    geometric grounds); ``attacker_set`` holds both the geometric flag and
+    threshold removals. When the geometric flag alone shrinks the network to
     the minimum localizable size, the clustering and thresholding stages are
     skipped and ``x_init``, ``relative_errors``, and ``honest`` are None.
     """
@@ -139,7 +130,7 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
 
     flags = frozenset(i for i, count in enumerate(contained) if count == n - 1)
     points = np.array(coords, dtype=float).reshape(-1, 2, 2)  # (0, 2, 2) when no pair meets
-    return IntersectionGraph(n, tuple(pairs), points, frozenset(disjoint), flags)
+    return IntersectionGraph(tuple(pairs), points, frozenset(disjoint), flags)
 
 
 def _candidate_distances(pts: np.ndarray):
@@ -415,11 +406,11 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
 def detect(anchors, d, tau: float) -> DetectionOutcome:
     """Full detection stage: geometric flags, honest points, thresholded removal.
 
-    Geometric flags are removed first; then anchors are stripped in order of
-    decreasing relative error while the largest error exceeds ``tau`` and
-    more than 3 anchors remain. The initial estimate is computed once and
-    not revised between removals. If flag removal alone leaves exactly 3
-    anchors the stage concludes immediately with the flagged set.
+    The flagged anchor, if any, is removed first; then anchors are stripped
+    in order of decreasing relative error while the largest error exceeds
+    ``tau`` and more than 3 anchors remain. The initial estimate is computed
+    once and not revised between removals. If the flag alone leaves exactly
+    3 anchors the stage concludes immediately with the flagged set.
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -431,36 +422,30 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
     """``detect`` on a built graph; ``locate_secure`` enters here too."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    n = graph.n_anchors
-    active = set(range(n))
-    attackers: set[int] = set()
-    for i in sorted(graph.geometric_flags):
-        if len(active) <= 3:
-            break
-        attackers.add(i)
-        active.discard(i)
-    if attackers and len(active) == 3:
+    flags = graph.geometric_flags
+    active = set(range(len(d))) - flags
+    if len(active) == 3:
         # The pre-filter alone fixed the verdict; nothing left to threshold.
         return DetectionOutcome(
             x_init=None,
-            attacker_set=frozenset(attackers),
+            attacker_set=flags,
             relative_errors=None,
             honest=None,
-            geometric_flags=graph.geometric_flags,
+            geometric_flags=flags,
         )
 
-    # With every anchor active the geometric flags are empty, so the graph
-    # equals its own restriction.
-    restricted = graph if len(active) == n else graph.restricted_to(active)
-    disjoint = restricted.disjoint_pairs
+    # The flagged anchor meets no circle, so every row of the graph avoids
+    # it; only its disjoint pairs leave the count.
+    n_disjoint = sum(not flags.intersection(p) for p in graph.disjoint_pairs)
     # Never ask for fewer points than fix a position: with three honest
     # anchors left, their three mutually intersecting pairs still supply them.
-    target = max(3, len(active) - len(disjoint)) if disjoint else len(active) - 1
-    honest = select_honest_points(restricted, target)
+    target = max(3, len(active) - n_disjoint) if n_disjoint else len(active) - 1
+    honest = select_honest_points(graph, target)
 
     x_init = wcm_estimate(honest, d)
     errs = relative_errors(x_init, anchors, d)
 
+    attackers = set(flags)
     err = errs.tolist()
     while len(active) > 3:
         worst = max(active, key=lambda i: (err[i], -i))
@@ -474,5 +459,5 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
         attacker_set=frozenset(attackers),
         relative_errors=errs,
         honest=honest,
-        geometric_flags=graph.geometric_flags,
+        geometric_flags=flags,
     )

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DegenerateGeometryError, NoRootError
 from .geometry import collinear_scatter
 
-_DEFAULT_TOL = 1e-10
-_DEFAULT_MAX_ITER = 100
+_TOL = 1e-10
+_MAX_ITER = 100
 _MAX_DOUBLINGS = 60
 
 
@@ -106,7 +106,7 @@ def build_system(anchors, d) -> GtrsSystem:
     return GtrsSystem(w_sum, (cx, cy), (sxx, sxy, syy), (gx, gy), g_alpha)
 
 
-def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER) -> GtrsSolution:
+def solve(s: GtrsSystem) -> GtrsSolution:
     """Minimize the weighted squared-range objective subject to alpha = ||x||^2.
 
     With the anchors centred on their weighted centroid and the scatter
@@ -121,11 +121,11 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
     at the larger of 0 (the unconstrained least-squares point) and
     -2 g_alpha (left of which alpha < 0 <= ||x||^2); a step that leaves the
     bracket is replaced by the bracket's midpoint. The stop is relative to
-    the coordinate scale: |phi| <= tol * rho, with rho = trace(S) / (4 sum w)
-    the weighted mean squared anchor distance from the centroid, so ``tol``
-    is in m^2 for anchors about a metre from their centroid. One more step
-    follows the stop, which by quadratic convergence leaves |phi| near
-    rounding. At most ``max_iter`` evaluations; the best iterate seen is
+    the coordinate scale: |phi| <= _TOL * rho, with rho = trace(S) / (4 sum w)
+    the weighted mean squared anchor distance from the centroid, so the
+    tolerance is in m^2 for anchors about a metre from their centroid. One
+    more step follows the stop, which by quadratic convergence leaves |phi|
+    near rounding. At most _MAX_ITER evaluations; the best iterate seen is
     returned with its achieved residual, in the original frame, where
     (G + lam Q) y = g + (lam / 2) e3 holds. When phi is already negative at
     the bracket's left end (the hard case, z_0 = 0), the root sits at the
@@ -174,12 +174,12 @@ def solve(s: GtrsSystem, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX
             doublings += 1
             phi = phi_at(hi)
 
-        stop = tol * 2.0 * half_trace * inv_w
+        stop = _TOL * 2.0 * half_trace * inv_w
         best_phi, best_lam = phi, hi
         lam = max(0.0, -2.0 * g_alpha)
         converged = False
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             q0, q1 = 1.0 / (s0 + lam), 1.0 / (s1 + lam)
             t0, t1 = zz0 * q0 * q0, zz1 * q1 * q1
             b = (g_alpha + 0.5 * lam) * inv_w

@@ -105,6 +105,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flag, value", [
         ("--sigma", "nan"), ("--sigma", "inf"), ("--region-side", "inf"), ("--region-side", "nan"),
         ("--delta-grid", "0,nan"), ("--delta-grid", "0,inf"), ("--seed", "-1"),
+        ("--delta-grid", "0,5,...,inf"), ("--delta-grid", "0,5,...,nan"),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, flag, value, capsys):
         # The flag comes last, so it overrides FAST's own --seed.
@@ -130,6 +131,10 @@ class TestConfigHandling:
             _parse_delta_grid("5,4,...,15")
         with pytest.raises(ValueError):
             _parse_delta_grid("0,1,...,")
+        # An infinite end would append until memory runs out.
+        for end in ("inf", "nan"):
+            with pytest.raises(ValueError, match="progression must increase"):
+                _parse_delta_grid(f"0,5,...,{end}")
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["rmse", "--config", str(tmp_path / "nope.ini"), *FAST]) == 2
@@ -187,6 +192,19 @@ class TestConfigHandling:
         ini = tmp_path / "c.ini"
         ini.write_text("[campaign]\nwizard = 3\n")
         assert run(["rmse", "--config", str(ini), *FAST]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "sigma = 2.0\n",
+        "[campaign]\nsigma = 2.0\nsigma = 3.0\n",
+    ], ids=["no-section-header", "repeated-key"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--config", str(ini), "--out", str(out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(ini) in err
+        assert not out.exists()
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

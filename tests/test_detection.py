@@ -86,15 +86,22 @@ class TestBuildIntersectionGraph:
                 assert ((i, j) in g.disjoint_pairs) == apart
 
     def test_flags_subset_of_fully_disjoint_anchors(self):
+        # At most one flag: only the strictly largest circle can contain
+        # every other, and it meets none of them.
         rng = np.random.default_rng(123)
-        for _ in range(100):
-            sc = random_scene(rng)
-            m = generate_measurements(sc, AttackSpec(frozenset({1}), 14.0), 1.0, 1, rng)
-            g = build_intersection_graph(sc.anchors, reduce_samples(m))
-            for i in g.geometric_flags:
-                touching = [p for p in g.pairs if i in p]
-                assert not touching
-
+        for n in range(4, 11):
+            flagged = 0
+            for _ in range(100):
+                sc = random_scene(rng, n=n)
+                m = generate_measurements(sc, AttackSpec(frozenset({1}), 14.0), 1.0, 1, rng)
+                d = reduce_samples(m)
+                g = build_intersection_graph(sc.anchors, d)
+                assert len(g.geometric_flags) <= 1
+                for i in g.geometric_flags:
+                    assert not [p for p in g.pairs if i in p]
+                    assert all(d[i] > d[j] for j in range(n) if j != i)
+                    flagged += 1
+            assert flagged, n
 
     def test_matches_two_call_reference_loop(self):
         # Reference: the loop that classified every pair and then intersected
@@ -183,7 +190,7 @@ class TestSelectHonestPoints:
         sc = random_scene(rng)
         m = generate_measurements(sc, AttackSpec(frozenset({0}), 4.0), 1.0, 1, rng)
         g = build_intersection_graph(sc.anchors, reduce_samples(m))
-        honest = select_honest_points(g.restricted_to(range(4)), 3)
+        honest = select_honest_points(g, 3)
         pairs = honest.pairs
         assert len(pairs) == len(set(pairs)) == 3
 
@@ -249,7 +256,6 @@ class TestSelectHonestPoints:
 
     def test_too_few_pairs_raises(self):
         g = IntersectionGraph(
-            n_anchors=4,
             pairs=((0, 1), (2, 3)),
             points=np.stack([np.zeros((2, 2)), np.ones((2, 2))]),
             disjoint_pairs=frozenset(),
@@ -318,7 +324,6 @@ def clustered_candidates(rng, n_pairs, spread):
 def graph_of(points):
     """Intersection graph holding the given (n_pairs, 2, 2) candidates, one anchor pair each."""
     return IntersectionGraph(
-        n_anchors=len(points) + 1,
         pairs=tuple((i, i + 1) for i in range(len(points))),
         points=np.asarray(points, dtype=float),
         disjoint_pairs=frozenset(),
@@ -389,7 +394,7 @@ class TestClosingStep:
             g = build_intersection_graph(target + offsets[:n], np.full(n, 5.0))
             for keep in itertools.combinations(range(len(g.pairs)), min(len(g.pairs), 8)):
                 rows = list(keep)
-                sub = IntersectionGraph(n, tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
+                sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
                 self.check(sub, subsets)
                 np.testing.assert_array_equal(select_honest_points(sub, 3).points, np.tile(target, (3, 1)))
 
@@ -744,20 +749,6 @@ class TestSlotSearch:
         assert descended >= 2
 
 
-class TestIntersectionGraph:
-    def test_restriction_keeps_the_index_space(self):
-        d = square_distances()
-        d[0] = 1.9  # circle 0 contains circles 1 and 3
-        g = build_intersection_graph(SQUARE, d)
-        sub = g.restricted_to({0, 2, 3})
-        assert sub.n_anchors == g.n_anchors == 4
-        assert sub.pairs == ((0, 2), (2, 3))
-        # The kept rows, in their order in the parent.
-        assert sub.points.tolist() == g.points[[g.pairs.index(p) for p in sub.pairs]].tolist()
-        assert sub.disjoint_pairs == {(0, 3)}
-        assert all(j < sub.n_anchors for i, j in [*sub.pairs, *sub.disjoint_pairs])
-
-
 class TestWcmEstimate:
     def make_honest(self, entries):
         return HonestSet(pairs=[pair for pair, _ in entries], points=np.array([p for _, p in entries], dtype=float))
@@ -985,8 +976,10 @@ class TestDetect:
             removed = set(out.attacker_set)
             g = build_intersection_graph(sc.anchors, d)
             survivors = set(range(5)) - removed
-            sub = g.restricted_to(survivors)
-            disjoint = sub.disjoint_pairs
+            # The rows of the graph whose anchors both survive.
+            rows = [r for r, p in enumerate(g.pairs) if not removed & set(p)]
+            sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
+            disjoint = [p for p in g.disjoint_pairs if not removed & set(p)]
             target = len(survivors) - len(disjoint) if disjoint else len(survivors) - 1
             if target < 3 or len(sub.points) < target:
                 continue

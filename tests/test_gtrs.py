@@ -211,7 +211,7 @@ class TestSolve:
         tol = 1e-10
         for _ in range(100):
             anchors, _, d = random_instance(rng)
-            sol = solve(build_system(anchors, d), tol=tol)
+            sol = solve(build_system(anchors, d))
             assert abs(sol.phi_residual) <= 10 * tol
 
     def test_optimal_against_random_feasible_points(self):
@@ -297,5 +297,5 @@ class TestSolve:
     def test_iterations_within_budget(self):
         rng = np.random.default_rng(18)
         anchors, _, d = random_instance(rng)
-        sol = solve(build_system(anchors, d), max_iter=100)
+        sol = solve(build_system(anchors, d))
         assert 1 <= sol.iterations <= 100

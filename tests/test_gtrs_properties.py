@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seculoc.gtrs import _DEFAULT_MAX_ITER, build_system, solve
+from seculoc.gtrs import _MAX_ITER, build_system, solve
 
 SIDE = 20.0
 REL = 1e-9
@@ -37,7 +37,7 @@ def instances(draw):
 
 def _solve(anchors, d):
     sol = solve(build_system(anchors, d))
-    assert sol.iterations < _DEFAULT_MAX_ITER
+    assert sol.iterations < _MAX_ITER
     return sol.x
 
 
