@@ -13,7 +13,7 @@ Run:  python demos/01_circle_detection_walkthrough.py
 import numpy as np
 
 from seculoc.detection import build_intersection_graph, detect
-from seculoc.measurement import AttackSpec, Scene, generate_measurements, reduce_samples
+from seculoc.measurement import AttackSpec, Scene, generate_measurements
 
 rng = np.random.default_rng(7)
 
@@ -31,7 +31,7 @@ for i, a in enumerate(scene.anchors):
     print(f"anchor {i} at {a}, true range {np.linalg.norm(a - scene.target):.2f} m{mark}")
 
 mset = generate_measurements(scene, AttackSpec(frozenset({attacker}), delta), sigma=0.3, k_samples=10, rng=rng)
-d = reduce_samples(mset)
+d = mset.means
 print(f"\nmeasured ranges (sample means): {np.round(d, 2)}")
 
 print("\n=== circle intersections ===")

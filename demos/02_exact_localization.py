@@ -14,7 +14,7 @@ import numpy as np
 
 from seculoc.baseline import wls_locate
 from seculoc.gtrs import build_system, solve
-from seculoc.measurement import AttackSpec, Scene, generate_measurements, reduce_samples
+from seculoc.measurement import AttackSpec, Scene, generate_measurements
 
 rng = np.random.default_rng(3)
 
@@ -23,7 +23,7 @@ scene = Scene(
     anchors=np.array([[2.0, 2.0], [17.0, 3.0], [4.0, 18.0], [15.0, 16.0]]),
 )
 mset = generate_measurements(scene, AttackSpec(), sigma=1.0, k_samples=10, rng=rng)
-d = reduce_samples(mset)
+d = mset.means
 
 system = build_system(scene.anchors, d)
 print("=== the multiplier residual function is strictly decreasing ===")
@@ -57,7 +57,7 @@ for _ in range(500):
             break
     sc = Scene(target=t, anchors=a)
     m = generate_measurements(sc, AttackSpec(frozenset({0}), 12.0), sigma=1.0, k_samples=10, rng=rng)
-    dd = reduce_samples(m)
+    dd = m.means
     se_exact += np.sum((solve(build_system(sc.anchors, dd)).x - t) ** 2)
     se_wls += np.sum((wls_locate(sc.anchors, dd) - t) ** 2)
 print(f"constrained solver rmse: {np.sqrt(se_exact / 500):7.2f} m  (attacked range still in the data)")

@@ -3,7 +3,7 @@
 Library layout:
 
 - ``geometry``: circle intersections, pair classification, distances, collinearity
-- ``measurement``: ranging model, attack model, sample reductions
+- ``measurement``: ranging model, attack model, per-anchor sample means
 - ``detection``: intersection graph, honest-point clustering, thresholding
 - ``gtrs``: exact squared-range solver via Newton steps on the multiplier
 - ``pipeline``: the end-to-end secure localization algorithm and benchmarks
@@ -12,7 +12,7 @@ Library layout:
 - ``campaign``: seeded Monte Carlo campaigns and CSV emission
 """
 
-from .baseline import GlrtConfig, estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
+from .baseline import estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
 from .bounds import DetectionBounds, ErrorStats, detection_bounds, prob_abs_leq, prob_abs_less
 from .campaign import CampaignConfig, CampaignStats, MethodDeltaStats, emit_csv, run_campaign
 from .detection import (
@@ -34,7 +34,6 @@ from .measurement import (
     Scene,
     generate_measurements,
     median_distance,
-    reduce_samples,
 )
 from .pipeline import (
     SecureLocResult,
@@ -53,7 +52,6 @@ __all__ = [
     "DetectionBounds",
     "DetectionOutcome",
     "ErrorStats",
-    "GlrtConfig",
     "GtrsSolution",
     "GtrsSystem",
     "HonestSet",
@@ -81,7 +79,6 @@ __all__ = [
     "median_distance",
     "prob_abs_leq",
     "prob_abs_less",
-    "reduce_samples",
     "relative_errors",
     "run_campaign",
     "select_honest_points",

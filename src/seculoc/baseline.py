@@ -12,7 +12,6 @@ and only approximate at the estimated position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -20,23 +19,6 @@ import numpy as np
 from .geometry import distances_to
 from .gtrs import build_system
 from .measurement import MeasurementSet
-
-
-@dataclass(frozen=True)
-class GlrtConfig:
-    """Operating point of the likelihood-ratio detector."""
-
-    p_fa: float
-    sigma: float
-    k_samples: int
-
-    def __post_init__(self):
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must lie strictly inside (0, 1)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-        if self.k_samples < 1:
-            raise ValueError("need at least one sample per anchor")
 
 
 def wls_locate(anchors, d) -> np.ndarray:
@@ -65,23 +47,30 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
     anchors = np.asarray(anchors, dtype=float)
     if m.samples.shape[0] != anchors.shape[0]:
         raise ValueError("one sample row per anchor required")
+    if not np.isfinite(anchors).all():
+        raise ValueError("anchors must be finite")
     est = distances_to(anchors.tolist(), np.asarray(x_est, dtype=float).tolist())
     return (m.samples - np.array(est)[:, None]).mean(axis=1)
 
 
-def glrt_threshold(cfg: GlrtConfig) -> float:
+def glrt_threshold(p_fa: float, sigma: float, k_samples: int) -> float:
     """Decision threshold on the mean residual for the target false alarm.
 
     Equals sigma * Qinv(p_fa) / sqrt(K): the mean residual of an honest
     anchor has std sigma/sqrt(K), so exceeding the threshold under the
     no-attack hypothesis happens with probability p_fa.
     """
-    q_inv = NormalDist().inv_cdf(1.0 - cfg.p_fa)
-    return cfg.sigma * q_inv / math.sqrt(cfg.k_samples)
+    if not 0.0 < p_fa < 1.0:
+        raise ValueError("p_fa must lie strictly inside (0, 1)")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    if k_samples < 1:
+        raise ValueError("need at least one sample per anchor")
+    return sigma * NormalDist().inv_cdf(1.0 - p_fa) / math.sqrt(k_samples)
 
 
-def glrt_detect(x_wls, m: MeasurementSet, anchors, cfg: GlrtConfig) -> frozenset[int]:
-    """Flag anchors whose estimated bias exceeds the calibrated threshold."""
+def glrt_detect(x_wls, m: MeasurementSet, anchors, p_fa: float) -> frozenset[int]:
+    """Flag anchors whose estimated bias exceeds the threshold for the sigma and K of ``m``."""
     delta_hat = estimate_attack_intensity(x_wls, m, anchors)
-    thresh = glrt_threshold(cfg)
+    thresh = glrt_threshold(p_fa, m.sigma, m.samples.shape[1])
     return frozenset(i for i, v in enumerate(delta_hat.tolist()) if v > thresh)

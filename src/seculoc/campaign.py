@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import GlrtConfig, glrt_detect, wls_locate
+from .baseline import glrt_detect, wls_locate
 from .bounds import ErrorStats, detection_bounds
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .geometry import collinear_scatter, distances_to
-from .measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
+from .measurement import AttackSpec, Scene, generate_measurements, median_distance
 from .pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
 _DETECTING = ("proposed", "wls_glrt")
@@ -69,9 +69,8 @@ def _perfect_detection(cfg, scene, attack_set, mset):
 
 
 def _wls_glrt(cfg, scene, attack_set, mset):
-    x_hat = wls_locate(scene.anchors, reduce_samples(mset))
-    glrt_cfg = GlrtConfig(p_fa=cfg.p_fa, sigma=cfg.sigma, k_samples=cfg.k_samples)
-    return x_hat, glrt_detect(x_hat, mset, scene.anchors, glrt_cfg), None
+    x_hat = wls_locate(scene.anchors, mset.means)
+    return x_hat, glrt_detect(x_hat, mset, scene.anchors, cfg.p_fa), None
 
 
 _METHODS = {
@@ -135,8 +134,12 @@ class CampaignConfig:
             problems.append("delta_grid must not be empty")
         elif not all(math.isfinite(v) and v >= 0 for v in self.delta_grid):
             problems.append("delta_grid values must be finite and non-negative")
+        if len(set(self.delta_grid)) != len(self.delta_grid):
+            problems.append("delta_grid values must not repeat")
         if not self.methods:
             problems.append("at least one method is required")
+        if len(set(self.methods)) != len(self.methods):
+            problems.append("methods must not repeat")
         unknown = [m for m in self.methods if m not in METHOD_NAMES]
         if unknown:
             problems.append(f"unknown methods {unknown}; choose from {METHOD_NAMES}")
@@ -227,16 +230,15 @@ def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
     raise RuntimeError(f"deployment {dep}: no non-degenerate layout in 1000 draws")
 
 
-def _trial_bounds(scene, attack_set, delta, x_init, mset, cfg):
-    d_bar = reduce_samples(mset)
-    m_d = median_distance(d_bar)
+def _trial_bounds(scene, attack_set, delta, x_init, mset, tau):
+    m_d = median_distance(mset.means)
     anchors = scene.anchors.tolist()
     mu = distances_to(anchors, scene.target.tolist())
     attacker = next(iter(attack_set))
     mu[attacker] += delta
     mu = [(t - e) / m_d for t, e in zip(mu, distances_to(anchors, x_init.tolist()))]
-    sigma_y = cfg.sigma / (math.sqrt(cfg.k_samples) * m_d)
-    stats = ErrorStats(mu=mu, sigma_y=sigma_y, attacker_index=attacker, tau=cfg.tau)
+    sigma_y = mset.sigma / (math.sqrt(mset.samples.shape[1]) * m_d)
+    stats = ErrorStats(mu=mu, sigma_y=sigma_y, attacker_index=attacker, tau=tau)
     return detection_bounds(stats)
 
 
@@ -281,7 +283,7 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
         and res.detection is not None
         and not (attack_set & res.detection.geometric_flags)
     ):
-        b = _trial_bounds(scene, attack_set, delta, res.x_init, mset, cfg)
+        b = _trial_bounds(scene, attack_set, delta, res.x_init, mset, cfg.tau)
         cell[_LPD1] += b.lpd1
         cell[_LPD2] += b.lpd2
         cell[_LPD] += b.lp_d

@@ -32,6 +32,8 @@ _SUBCOMMANDS = {
 }
 
 _FULL_SCALE = {"n_deployments": 500, "n_corruptions": 100}
+# A longer '...' progression is refused before it is expanded.
+_MAX_GRID = 10_000
 
 
 def _parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -49,6 +51,8 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
             step = values[-1] - values[-2]
             if step <= 0 or not values[-1] < stop < math.inf:
                 raise ValueError(f"bad delta grid {text!r}: progression must increase")
+            if len(values) + (stop - values[-1]) / step > _MAX_GRID:
+                raise ValueError(f"bad delta grid {text!r}: more than {_MAX_GRID} values")
             nxt = values[-1] + step
             while nxt < stop - 1e-9:
                 values.append(nxt)

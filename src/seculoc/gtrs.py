@@ -88,6 +88,9 @@ def build_system(anchors, d) -> GtrsSystem:
         cx += w * x
         cy += w * y
     cx, cy = cx / w_sum, cy / w_sum
+    # The weights are positive and finite, so the centroid is finite exactly when every anchor is.
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError("anchors must be finite")
     sxx = sxy = syy = gx = gy = g_alpha = 0.0
     for w, (x, y), r in zip(weights, pts, dist):
         ux, uy = x - cx, y - cy

@@ -1,4 +1,4 @@
-"""Two-way ranging samples: Gaussian noise, enlargement attacks, reductions."""
+"""Two-way ranging samples: Gaussian noise, enlargement attacks, sample means."""
 
 from __future__ import annotations
 
@@ -64,9 +64,9 @@ class AttackSpec:
 class MeasurementSet:
     """K range samples per anchor plus the common per-sample noise level.
 
-    ``samples`` is a read-only copy of the given array. ``means`` holds its
-    read-only per-anchor sample means, computed once as the row sums divided
-    by K: the reduction ``mean`` runs, bit for bit, without its dispatch cost.
+    The one source of a trial's sigma, K and per-anchor means: ``samples`` is
+    a read-only copy of the given array, and ``means`` its read-only row sums
+    divided by K, computed once (``mean`` bit for bit, without its dispatch cost).
     """
 
     samples: np.ndarray
@@ -117,11 +117,6 @@ def generate_measurements(
     samples = mean[:, None] + rng.normal(0.0, sigma, size=(n, k_samples))
     np.maximum(samples, _DISTANCE_FLOOR, out=samples)
     return MeasurementSet(samples=samples, sigma=sigma)
-
-
-def reduce_samples(m: MeasurementSet) -> np.ndarray:
-    """Per-anchor sample means, read-only; their noise std is sigma / sqrt(K)."""
-    return m.means
 
 
 def median_distance(d) -> float:

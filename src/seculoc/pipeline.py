@@ -21,7 +21,7 @@ import numpy as np
 from .detection import DetectionOutcome, _detect_from_graph, build_intersection_graph
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .gtrs import build_system, solve
-from .measurement import MeasurementSet, reduce_samples
+from .measurement import MeasurementSet
 
 
 @dataclass
@@ -57,7 +57,7 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
     anchors or honest candidate points remain at any stage.
     """
     anchors = np.asarray(anchors, dtype=float)
-    d = reduce_samples(m)
+    d = m.means
     graph = build_intersection_graph(anchors, d)
     outcome = _detect_from_graph(anchors, d, tau, graph)
     attackers = outcome.attacker_set
@@ -86,8 +86,7 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
 def locate_no_detection(anchors, m: MeasurementSet) -> np.ndarray:
     """Benchmark: solve on every anchor, corrupted or not."""
     anchors = np.asarray(anchors, dtype=float)
-    d = reduce_samples(m)
-    return _gtrs_estimate(anchors, d, range(anchors.shape[0]))
+    return _gtrs_estimate(anchors, m.means, range(anchors.shape[0]))
 
 
 def locate_perfect_detection(anchors, m: MeasurementSet, true_attackers) -> np.ndarray:
@@ -97,8 +96,7 @@ def locate_perfect_detection(anchors, m: MeasurementSet, true_attackers) -> np.n
     bad = [i for i in true_attackers if not 0 <= i < n]
     if bad:
         raise ValueError(f"attacker indices {bad} outside anchor range 0..{n - 1}")
-    d = reduce_samples(m)
     survivors = sorted(set(range(n)) - set(true_attackers))
     if len(survivors) < 3:
         raise UnlocalizableError("fewer than 3 honest anchors remain")
-    return _gtrs_estimate(anchors, d, survivors)
+    return _gtrs_estimate(anchors, m.means, survivors)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seculoc.bounds import ErrorStats, detection_bounds, prob_abs_less
-from seculoc.baseline import GlrtConfig, glrt_detect
+from seculoc.baseline import glrt_detect
 from seculoc.campaign import CampaignConfig, emit_csv, run_campaign
 from seculoc.gtrs import build_system, solve
 from seculoc.measurement import AttackSpec, Scene, generate_measurements
@@ -203,16 +203,16 @@ def test_c09_baseline_divergence(rmse_campaign):
 def test_c10_glrt_calibration():
     rng = np.random.default_rng(10)
     sc = random_scene(rng)
-    cfg = GlrtConfig(p_fa=0.05, sigma=1.0, k_samples=10)
+    p_fa = 0.05
     trials = 10_000
     flags = np.zeros(sc.n_anchors)
     for _ in range(trials):
-        m = generate_measurements(sc, AttackSpec(), cfg.sigma, cfg.k_samples, rng)
-        for i in glrt_detect(sc.target, m, sc.anchors, cfg):
+        m = generate_measurements(sc, AttackSpec(), 1.0, 10, rng)
+        for i in glrt_detect(sc.target, m, sc.anchors, p_fa):
             flags[i] += 1
     rates = flags / trials
-    se = math.sqrt(cfg.p_fa * (1 - cfg.p_fa) / trials)
-    ok = np.all(np.abs(rates - cfg.p_fa) < 3 * se)
+    se = math.sqrt(p_fa * (1 - p_fa) / trials)
+    ok = np.all(np.abs(rates - p_fa) < 3 * se)
     report(10, "detector calibration at the true location", ok,
            f"per-anchor rates {np.round(rates, 4).tolist()} vs 0.05 ± {3 * se:.4f}")
 

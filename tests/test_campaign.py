@@ -47,6 +47,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             CampaignConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(delta_grid=(5.0, 5.0)), "delta_grid values must not repeat"),
+        (dict(methods=("proposed", "proposed")), "methods must not repeat"),
+    ])
+    def test_rejects_repeats(self, kwargs, message):
+        # A repeated cell would run every trial twice and emit two rows that
+        # CampaignStats.get cannot tell apart.
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**kwargs).validate()
+        with pytest.raises(ValueError, match=message):
+            run_campaign(CampaignConfig(n_deployments=1, n_corruptions=1, **kwargs))
+
 
 class TestRunCampaign:
     def test_rows_cover_methods_and_grid(self):

@@ -136,6 +136,22 @@ class TestConfigHandling:
             with pytest.raises(ValueError, match="progression must increase"):
                 _parse_delta_grid(f"0,5,...,{end}")
 
+    @pytest.mark.parametrize("flag, value", [("--delta-grid", "0,5,5"), ("--methods", "proposed,proposed")])
+    def test_repeated_grid_value_or_method_exits_2(self, tmp_path, flag, value, capsys):
+        assert run(["rmse", "--out", str(tmp_path / "x.csv"), *FAST, flag, value]) == 2
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_long_progression_rejected_before_expanding(self, tmp_path, capsys):
+        from seculoc.cli import _parse_delta_grid
+
+        assert len(_parse_delta_grid("0,1,...,9999")) == 10_000
+        for text in ("0,1,...,10000", "0,5,...,1e300"):
+            with pytest.raises(ValueError, match="more than 10000 values"):
+                _parse_delta_grid(text)
+        assert run(["rmse", "--delta-grid", "0,5,...,1e300", "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        assert "more than 10000 values" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["rmse", "--config", str(tmp_path / "nope.ini"), *FAST]) == 2
 

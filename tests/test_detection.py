@@ -23,7 +23,7 @@ from seculoc.detection import (
 )
 from seculoc.errors import UnlocalizableError
 from seculoc.geometry import Circle, CircleRelation, classify_pair, intersect_circles
-from seculoc.measurement import AttackSpec, Scene, generate_measurements, median_distance, reduce_samples
+from seculoc.measurement import AttackSpec, Scene, generate_measurements, median_distance
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 CENTER = np.array([0.5, 0.5])
@@ -67,7 +67,7 @@ class TestBuildIntersectionGraph:
         for _ in range(50):
             sc = random_scene(rng)
             m = generate_measurements(sc, AttackSpec(frozenset({0}), 6.0), 1.0, 1, rng)
-            g = build_intersection_graph(sc.anchors, reduce_samples(m))
+            g = build_intersection_graph(sc.anchors, m.means)
             all_pairs = set(itertools.combinations(range(4), 2))
             assert set(g.pairs) | set(g.disjoint_pairs) == all_pairs
             assert not set(g.pairs) & set(g.disjoint_pairs)
@@ -78,7 +78,7 @@ class TestBuildIntersectionGraph:
         for _ in range(100):
             sc = random_scene(rng)
             m = generate_measurements(sc, AttackSpec(frozenset({2}), 3.0), 1.0, 1, rng)
-            d = reduce_samples(m)
+            d = m.means
             g = build_intersection_graph(sc.anchors, d)
             for i, j in itertools.combinations(range(4), 2):
                 gap = np.linalg.norm(sc.anchors[i] - sc.anchors[j])
@@ -94,7 +94,7 @@ class TestBuildIntersectionGraph:
             for _ in range(100):
                 sc = random_scene(rng, n=n)
                 m = generate_measurements(sc, AttackSpec(frozenset({1}), 14.0), 1.0, 1, rng)
-                d = reduce_samples(m)
+                d = m.means
                 g = build_intersection_graph(sc.anchors, d)
                 assert len(g.geometric_flags) <= 1
                 for i in g.geometric_flags:
@@ -139,7 +139,7 @@ class TestBuildIntersectionGraph:
             sc = random_scene(rng, n=n)
             delta = float(rng.choice([0.0, 5.0, 15.0, 40.0]))
             m = generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng)
-            check(sc.anchors, reduce_samples(m))
+            check(sc.anchors, m.means)
         # Exact ranges on a lattice: opposite anchors are externally tangent.
         target = np.array([10.0, 10.0])
         offsets = np.array([(3, 4), (4, 3), (-3, -4), (-4, -3), (3, -4), (-3, 4)], dtype=float)
@@ -159,7 +159,7 @@ class TestBuildIntersectionGraph:
         rng = np.random.default_rng(seed)
         sc = random_scene(rng, n=len(order))
         delta = float(rng.choice([0.0, 5.0, 15.0, 40.0]))
-        d = reduce_samples(generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng))
+        d = generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng).means
         g = build_intersection_graph(sc.anchors, d)
         h = build_intersection_graph(sc.anchors[list(order)], d[list(order)])
         new = {old: k for k, old in enumerate(order)}
@@ -189,7 +189,7 @@ class TestSelectHonestPoints:
         rng = np.random.default_rng(1)
         sc = random_scene(rng)
         m = generate_measurements(sc, AttackSpec(frozenset({0}), 4.0), 1.0, 1, rng)
-        g = build_intersection_graph(sc.anchors, reduce_samples(m))
+        g = build_intersection_graph(sc.anchors, m.means)
         honest = select_honest_points(g, 3)
         pairs = honest.pairs
         assert len(pairs) == len(set(pairs)) == 3
@@ -201,7 +201,7 @@ class TestSelectHonestPoints:
         for n in [4] * 30 + [5] * 3:
             sc = random_scene(rng, n=n)
             m = generate_measurements(sc, AttackSpec(frozenset({n - 1}), 8.0), 1.0, 1, rng)
-            g = build_intersection_graph(sc.anchors, reduce_samples(m))
+            g = build_intersection_graph(sc.anchors, m.means)
             avail = range(len(g.pairs))
             for size in range(3, min(5, len(avail)) + 1):
                 best = np.inf
@@ -379,7 +379,7 @@ class TestClosingStep:
             n = int(rng.integers(4, 6))
             sc = random_scene(rng, n=n)
             m = generate_measurements(sc, AttackSpec(frozenset({0}), 5.0), 1.0, 1, rng)
-            g = build_intersection_graph(sc.anchors, reduce_samples(m))
+            g = build_intersection_graph(sc.anchors, m.means)
             if not 3 <= len(g.points) <= 8:
                 continue
             self.check(g, subsets)
@@ -570,7 +570,7 @@ class TestSearchOrder:
         with monkeypatch.context() as mp:
             mp.setattr(detection, "select_honest_points", spy)
             try:
-                detect(sc.anchors, reduce_samples(m), 0.3)
+                detect(sc.anchors, m.means, 0.3)
             except UnlocalizableError:
                 pass
         return calls
@@ -695,7 +695,7 @@ class TestRootPass:
             while graphs < 2:
                 sc = random_scene(rng, n=n)
                 m = generate_measurements(sc, AttackSpec(frozenset({0}), 0.0), sigma, 10, rng)
-                g = build_intersection_graph(sc.anchors, reduce_samples(m))
+                g = build_intersection_graph(sc.anchors, m.means)
                 if len(g.points) <= 30:
                     continue
                 flat, dist = detection._candidate_distances(g.points)
@@ -813,7 +813,7 @@ class TestRelativeErrors:
         rng = np.random.default_rng(5)
         sc = random_scene(rng)
         m = generate_measurements(sc, AttackSpec(frozenset({1}), 5.0), 1.0, 1, rng)
-        d = reduce_samples(m)
+        d = m.means
         x = rng.uniform(0, 20, 2)
         got = relative_errors(x, sc.anchors, d)
         med = np.median(d)
@@ -866,7 +866,7 @@ class TestDetect:
             att = int(rng.integers(0, 4))
             m = generate_measurements(sc, AttackSpec(frozenset({att}), 15.0), 1.0, 10, rng)
             try:
-                out = detect(sc.anchors, reduce_samples(m), tau=0.3)
+                out = detect(sc.anchors, m.means, tau=0.3)
             except UnlocalizableError:
                 continue
             ran += 1
@@ -903,7 +903,7 @@ class TestDetect:
             att = int(rng.integers(0, 4))
             m = generate_measurements(sc, AttackSpec(frozenset({att}), 1.0), 1.0, 1, rng)
             try:
-                out = detect(sc.anchors, reduce_samples(m), tau=1.0)
+                out = detect(sc.anchors, m.means, tau=1.0)
             except UnlocalizableError:
                 continue
             ran += 1
@@ -918,7 +918,7 @@ class TestDetect:
                 att = int(rng.integers(0, n))
                 m = generate_measurements(sc, AttackSpec(frozenset({att}), 10.0), 1.0, 1, rng)
                 try:
-                    out = detect(sc.anchors, reduce_samples(m), tau=0.1)
+                    out = detect(sc.anchors, m.means, tau=0.1)
                 except UnlocalizableError:
                     continue
                 assert len(out.attacker_set) <= n - 3
@@ -929,7 +929,7 @@ class TestDetect:
         for _ in range(400):
             sc = random_scene(rng)
             m = generate_measurements(sc, AttackSpec(), 1.0, 1, rng)
-            cases.append((sc.anchors, reduce_samples(m)))
+            cases.append((sc.anchors, m.means))
         rates = []
         for tau in (0.3, 0.5, 0.7, 0.9):
             fa = ran = 0
@@ -952,7 +952,7 @@ class TestDetect:
         rng = np.random.default_rng(10)
         sc = random_scene(rng)
         m = generate_measurements(sc, AttackSpec(frozenset({2}), 9.0), 1.0, 1, rng)
-        d = reduce_samples(m)
+        d = m.means
         a = detect(sc.anchors, d, tau=0.3)
         b = detect(sc.anchors, d, tau=0.3)
         assert a.attacker_set == b.attacker_set
@@ -966,7 +966,7 @@ class TestDetect:
             sc = random_scene(rng, n=5)
             att = int(rng.integers(0, 5))
             m = generate_measurements(sc, AttackSpec(frozenset({att}), 12.0), 1.0, 10, rng)
-            d = reduce_samples(m)
+            d = m.means
             try:
                 out = detect(sc.anchors, d, tau=0.3)
             except UnlocalizableError:

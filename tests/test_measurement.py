@@ -12,7 +12,6 @@ from seculoc.measurement import (
     Scene,
     generate_measurements,
     median_distance,
-    reduce_samples,
 )
 
 ANCHORS = np.array([[2.0, 3.0], [17.0, 4.0], [5.0, 16.0], [15.0, 15.0]])
@@ -106,7 +105,7 @@ class TestGenerate:
         resid = np.empty(trials)
         for t in range(trials):
             m = generate_measurements(sc, AttackSpec(), sigma, k, rng)
-            resid[t] = reduce_samples(m)[2] - sc.true_distances()[2]
+            resid[t] = m.means[2] - sc.true_distances()[2]
         se_mean = (sigma / np.sqrt(k)) / np.sqrt(trials)
         assert abs(resid.mean()) < 5 * se_mean
         var = resid.var(ddof=1)
@@ -120,25 +119,25 @@ class TestGenerate:
         resid = np.empty(trials)
         for t in range(trials):
             m = generate_measurements(sc, AttackSpec(frozenset({3}), delta), 1.0, 4, rng)
-            resid[t] = reduce_samples(m)[3] - sc.true_distances()[3]
+            resid[t] = m.means[3] - sc.true_distances()[3]
         assert abs(resid.mean() - delta) < 5 * (1.0 / np.sqrt(4 * trials))
 
 
 class TestReductions:
     def test_reduce_k1_identity(self):
         m = MeasurementSet(samples=np.array([[3.0], [4.0], [5.0], [6.0]]), sigma=1.0)
-        np.testing.assert_array_equal(reduce_samples(m), [3.0, 4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(m.means, [3.0, 4.0, 5.0, 6.0])
 
     def test_reduce_simple_mean(self):
         m = MeasurementSet(samples=np.array([[1.0, 2.0, 3.0]] * 4), sigma=1.0)
-        np.testing.assert_allclose(reduce_samples(m), 2.0)
+        np.testing.assert_allclose(m.means, 2.0)
 
     def test_reduce_matches_row_mean_oracle(self):
         rng = np.random.default_rng(5)
         samples = rng.uniform(1, 30, (6, 9))
         m = MeasurementSet(samples=samples, sigma=1.0)
         oracle = np.array([row.sum() / row.size for row in samples])
-        np.testing.assert_allclose(reduce_samples(m), oracle, rtol=1e-12)
+        np.testing.assert_allclose(m.means, oracle, rtol=1e-12)
 
     def test_means_computed_once_on_a_read_only_copy(self):
         # The set keeps a frozen copy of the samples and their row sums over
@@ -149,7 +148,6 @@ class TestReductions:
             samples = rng.uniform(1, 30, (n, k))
             m = MeasurementSet(samples=samples, sigma=1.0)
             assert m.means.tolist() == (samples.sum(axis=1) / k).tolist() == samples.mean(axis=1).tolist()
-            assert reduce_samples(m) is m.means
             assert not np.shares_memory(m.samples, samples)
             for frozen in (m.samples, m.means):
                 with pytest.raises(ValueError, match="read-only"):

@@ -1,13 +1,16 @@
 """Tests for seculoc.pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
 import seculoc.pipeline
-from seculoc.baseline import estimate_attack_intensity
+from seculoc.baseline import estimate_attack_intensity, glrt_detect, wls_locate
 from seculoc.detection import build_intersection_graph
 from seculoc.errors import NoRootError, UnlocalizableError
-from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements, reduce_samples
+from seculoc.gtrs import build_system
+from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 from seculoc.pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
 ANCHORS = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]])
@@ -189,7 +192,7 @@ class TestLocateSecure:
     @pytest.mark.parametrize("anchors", [np.zeros((4, 3)), np.zeros(4), np.zeros((4, 2, 1)), np.zeros((2, 4))],
                              ids=["4x3", "4", "4x2x1", "2x4"])
     @pytest.mark.parametrize("entry", [
-        lambda anchors, m: build_intersection_graph(anchors, reduce_samples(m)),
+        lambda anchors, m: build_intersection_graph(anchors, m.means),
         lambda anchors, m: locate_secure(anchors, m, 0.3),
     ], ids=["build_intersection_graph", "locate_secure"])
     def test_rejects_anchors_that_are_not_n_by_2(self, entry, anchors):
@@ -227,3 +230,20 @@ class TestBenchmarks:
     def test_perfect_detection_rejects_out_of_range_attackers(self, attackers):
         with pytest.raises(ValueError, match="outside anchor range"):
             locate_perfect_detection(ANCHORS, noiseless(), attackers)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry", [
+    lambda anchors, m: build_system(anchors, m.means),
+    lambda anchors, m: wls_locate(anchors, m.means),
+    lambda anchors, m: locate_no_detection(anchors, m),
+    lambda anchors, m: locate_perfect_detection(anchors, m, {0}),
+    lambda anchors, m: glrt_detect(TARGET, m, anchors, 0.05),
+], ids=["build_system", "wls_locate", "locate_no_detection", "locate_perfect_detection", "glrt_detect"])
+def test_rejects_non_finite_anchor(entry, bad):
+    # Anchor 2 stays in every system; a non-finite one used to yield NaN
+    # estimates, or flag an anchor in the GLRT, instead of an error.
+    anchors = ANCHORS.copy()
+    anchors[2, 0] = bad
+    with pytest.raises(ValueError, match="anchors must be finite"):
+        entry(anchors, noiseless())
