@@ -10,6 +10,8 @@ and re-estimated ranges.
 Run:  python demos/01_circle_detection_walkthrough.py
 """
 
+import itertools
+
 import numpy as np
 
 from seculoc.detection import build_intersection_graph, detect
@@ -38,7 +40,8 @@ print("\n=== circle intersections ===")
 graph = build_intersection_graph(scene.anchors, d)
 for pair, pts in zip(graph.pairs, graph.points):
     print(f"pair {pair}: points {np.round(pts[0], 2)} / {np.round(pts[1], 2)}")
-for pair in sorted(graph.disjoint_pairs):
+# Every pair absent from graph.pairs has circles that do not meet.
+for pair in sorted(set(itertools.combinations(range(len(d)), 2)) - set(graph.pairs)):
     print(f"pair {pair}: circles do not meet")
 if graph.geometric_flags:
     print(f"geometrically impossible circles (flagged corrupted): {set(graph.geometric_flags)}")

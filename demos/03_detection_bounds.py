@@ -11,7 +11,7 @@ Run:  python demos/03_detection_bounds.py
 
 import numpy as np
 
-from seculoc.bounds import ErrorStats, detection_bounds
+from seculoc.bounds import detection_bounds
 
 rng = np.random.default_rng(12)
 
@@ -26,8 +26,7 @@ print(f"{'delta/median':>12}{'sampled P_D':>13}{'LP_D':>9}{'UP_D':>9}{'LPD1':>9}
 for rel_delta in (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8):
     mu = estimate_bias.copy()
     mu[attacker] += rel_delta
-    stats = ErrorStats(mu=mu, sigma_y=sigma_y, attacker_index=attacker, tau=tau)
-    b = detection_bounds(stats)
+    b = detection_bounds(mu, sigma_y, attacker, tau)
 
     draws = np.abs(rng.normal(mu, sigma_y, size=(400_000, 4)))
     rivals = np.delete(draws, attacker, axis=1).max(axis=1)

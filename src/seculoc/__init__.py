@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .baseline import estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
-from .bounds import DetectionBounds, ErrorStats, detection_bounds, prob_abs_leq, prob_abs_less
+from .bounds import DetectionBounds, detection_bounds, prob_abs_leq, prob_abs_less
 from .campaign import CampaignConfig, CampaignStats, MethodDeltaStats, emit_csv, run_campaign
 from .detection import (
     DetectionOutcome,
@@ -51,7 +51,6 @@ __all__ = [
     "DegenerateGeometryError",
     "DetectionBounds",
     "DetectionOutcome",
-    "ErrorStats",
     "GtrsSolution",
     "GtrsSystem",
     "HonestSet",

@@ -49,7 +49,10 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
         raise ValueError("one sample row per anchor required")
     if not np.isfinite(anchors).all():
         raise ValueError("anchors must be finite")
-    est = distances_to(anchors.tolist(), np.asarray(x_est, dtype=float).tolist())
+    point = np.asarray(x_est, dtype=float).tolist()
+    if not all(map(math.isfinite, point)):
+        raise ValueError("x_est must be finite")
+    est = distances_to(anchors.tolist(), point)
     return (m.samples - np.array(est)[:, None]).mean(axis=1)
 
 

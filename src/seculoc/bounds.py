@@ -10,7 +10,7 @@ quadrants and factorizes the probability into Q-function products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -50,34 +50,6 @@ def prob_abs_less(mu_a: float, mu_i: float, sigma: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-@dataclass
-class ErrorStats:
-    """Means and shared std of the per-anchor relative-error Gaussians.
-
-    ``mu[i]`` is the mean of the signed relative error of anchor i (the
-    attacker's entry includes the attack bias), ``sigma_y`` the shared
-    standard deviation, both in units of the measured-distance median.
-    """
-
-    mu: np.ndarray
-    sigma_y: float
-    attacker_index: int
-    tau: float
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.ndim != 1 or self.mu.size < 2:
-            raise ValueError("mu must hold one mean per anchor, at least two")
-        if not all(map(math.isfinite, self.mu.tolist())):
-            raise ValueError("mu must be finite")
-        if not 0.0 < self.sigma_y < math.inf:
-            raise ValueError("sigma_y must be positive and finite")
-        if not 0 <= self.attacker_index < self.mu.size:
-            raise ValueError("attacker_index outside anchor range")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError("tau must be non-negative and finite")
-
-
 class DetectionBounds(NamedTuple):
     lpd1: float
     lpd2: float
@@ -85,8 +57,12 @@ class DetectionBounds(NamedTuple):
     up_d: float
 
 
-def detection_bounds(s: ErrorStats) -> DetectionBounds:
+def detection_bounds(mu, sigma_y: float, attacker_index: int, tau: float) -> DetectionBounds:
     """Lower and upper bounds on the probability of detecting the attacker.
+
+    ``mu[i]`` is the mean signed relative error of anchor i (the attacker's
+    includes the attack bias) and ``sigma_y`` their shared standard
+    deviation, both in units of the measured-distance median.
 
     Detection means the attacker's relative error exceeds both the threshold
     and every honest anchor's error. The upper bound keeps only the
@@ -95,19 +71,29 @@ def detection_bounds(s: ErrorStats) -> DetectionBounds:
     the threshold with every honest anchor staying below it. All outputs are
     clamped to [0, 1] after floating arithmetic.
     """
-    a = s.attacker_index
-    mu = s.mu.tolist()
-    mu_a, sigma, tau = mu[a], s.sigma_y, s.tau
-    p_exceed = _q((tau + mu_a) / sigma) + _q((tau - mu_a) / sigma)
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.size < 2:
+        raise ValueError("mu must hold one mean per anchor, at least two")
+    mu = mu.tolist()
+    if not all(map(math.isfinite, mu)):
+        raise ValueError("mu must be finite")
+    if not 0.0 < sigma_y < math.inf:
+        raise ValueError("sigma_y must be positive and finite")
+    a = operator.index(attacker_index)
+    if not 0 <= a < len(mu):
+        raise ValueError("attacker_index outside anchor range")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be non-negative and finite")
+    mu_a = mu[a]
+    p_exceed = _q((tau + mu_a) / sigma_y) + _q((tau - mu_a) / sigma_y)
+    up_d = min(1.0, max(0.0, p_exceed))
     honest = mu[:a] + mu[a + 1:]
 
-    # Union bound: 1 - sum_i P(|y_a| < |y_i|) - P(|y_a| <= tau).
-    lpd1 = 1.0 - sum(prob_abs_less(mu_a, mu_i, sigma) for mu_i in honest)
-    lpd1 -= prob_abs_leq(tau, mu_a, sigma)
+    # Union bound: 1 - sum_i P(|y_a| < |y_i|) - P(|y_a| <= tau), the last 1 - up_d.
+    lpd1 = 1.0 - sum(prob_abs_less(mu_a, mu_i, sigma_y) for mu_i in honest)
+    lpd1 -= 1.0 - up_d
     lpd1 = min(1.0, max(0.0, lpd1))
 
-    lpd2 = math.prod((prob_abs_leq(tau, mu_i, sigma) for mu_i in honest), start=p_exceed)
+    lpd2 = math.prod((prob_abs_leq(tau, mu_i, sigma_y) for mu_i in honest), start=p_exceed)
     lpd2 = min(1.0, max(0.0, lpd2))
-
-    up_d = min(1.0, max(0.0, p_exceed))
     return DetectionBounds(lpd1=lpd1, lpd2=lpd2, lp_d=max(lpd1, lpd2), up_d=up_d)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import glrt_detect, wls_locate
-from .bounds import ErrorStats, detection_bounds
+from .bounds import detection_bounds
 from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
 from .geometry import collinear_scatter, distances_to
 from .measurement import AttackSpec, Scene, generate_measurements, median_distance
@@ -238,8 +238,7 @@ def _trial_bounds(scene, attack_set, delta, x_init, mset, tau):
     mu[attacker] += delta
     mu = [(t - e) / m_d for t, e in zip(mu, distances_to(anchors, x_init.tolist()))]
     sigma_y = mset.sigma / (math.sqrt(mset.samples.shape[1]) * m_d)
-    stats = ErrorStats(mu=mu, sigma_y=sigma_y, attacker_index=attacker, tau=tau)
-    return detection_bounds(stats)
+    return detection_bounds(mu, sigma_y, attacker, tau)
 
 
 def _threshold_event(cfg, det_outcome, attack_set) -> bool:

@@ -46,17 +46,16 @@ class IntersectionGraph:
 
     ``pairs`` holds the anchor pairs (i, j), i < j, whose circles meet, in
     sorted order; row p of the (P, 2, 2) array ``points`` holds the two
-    candidate intersection points of ``pairs[p]``. ``disjoint_pairs`` holds
-    the pairs whose circles do not meet; ``geometric_flags`` holds anchors
-    whose circle strictly contains every other circle and is therefore
-    corrupted. Only the strictly largest circle can contain all the others,
-    so at most one anchor is flagged, and it meets none of them: no row of
-    ``pairs`` holds a flagged anchor.
+    candidate intersection points of ``pairs[p]``; the circles of every
+    other pair do not meet. ``geometric_flags`` holds anchors whose circle
+    strictly contains every other circle and is therefore corrupted. Only
+    the strictly largest circle can contain all the others, so at most one
+    anchor is flagged, and it meets none of them: no row of ``pairs`` holds
+    a flagged anchor.
     """
 
     pairs: tuple[tuple[int, int], ...]
     points: np.ndarray
-    disjoint_pairs: frozenset[tuple[int, int]]
     geometric_flags: frozenset[int]
 
 
@@ -110,7 +109,6 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
 
     pairs = []
     coords: list[float] = []  # four per meeting pair, the two points in turn
-    disjoint = set()
     # contained[i]: how many circles circle i strictly contains; only
     # disjoint pairs can hold one inside the other.
     contained = [0] * n
@@ -121,7 +119,6 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
                 pairs.append((i, j))
                 coords.extend(meet)
                 continue
-            disjoint.add((i, j))
             rel = classify_pair(circles[i], circles[j])
             if rel is CircleRelation.FIRST_CONTAINS_SECOND:
                 contained[i] += 1
@@ -130,7 +127,7 @@ def build_intersection_graph(anchors, d) -> IntersectionGraph:
 
     flags = frozenset(i for i, count in enumerate(contained) if count == n - 1)
     points = np.array(coords, dtype=float).reshape(-1, 2, 2)  # (0, 2, 2) when no pair meets
-    return IntersectionGraph(tuple(pairs), points, frozenset(disjoint), flags)
+    return IntersectionGraph(tuple(pairs), points, flags)
 
 
 def _candidate_distances(pts: np.ndarray):
@@ -388,6 +385,7 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     """Per-anchor |measured - re-estimated| distance, scaled by the measured median.
 
     The median keeps the scale robust to a grossly enlarged measurement.
+    Raises ValueError unless the position, anchors and distances are finite.
     """
     anchors = np.asarray(anchors, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -400,7 +398,10 @@ def relative_errors(x_est, anchors, d) -> np.ndarray:
     if med <= 0:
         raise ValueError("median of distance measurements must be positive")
     est = distances_to(anchors.tolist(), x_est.tolist())
-    return np.array([abs(r - e) / med for r, e in zip(d.tolist(), est)])
+    errs = [abs(r - e) / med for r, e in zip(d.tolist(), est)]
+    if not all(map(math.isfinite, errs)):
+        raise ValueError("x_est, anchors and distances must be finite")
+    return np.array(errs)
 
 
 def detect(anchors, d, tau: float) -> DetectionOutcome:
@@ -434,9 +435,9 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
             geometric_flags=flags,
         )
 
-    # The flagged anchor meets no circle, so every row of the graph avoids
-    # it; only its disjoint pairs leave the count.
-    n_disjoint = sum(not flags.intersection(p) for p in graph.disjoint_pairs)
+    # The flagged anchor meets no circle, so every row of the graph joins
+    # two active anchors and the other active pairs are the disjoint ones.
+    n_disjoint = math.comb(len(active), 2) - len(graph.pairs)
     # Never ask for fewer points than fix a position: with three honest
     # anchors left, their three mutually intersecting pairs still supply them.
     target = max(3, len(active) - n_disjoint) if n_disjoint else len(active) - 1

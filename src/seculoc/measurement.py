@@ -56,6 +56,8 @@ class AttackSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "corrupted", frozenset(self.corrupted))
+        if not math.isfinite(self.delta):
+            raise ValueError("attack intensity delta must be finite")
         if self.delta < 0:
             raise ValueError("an enlargement attack cannot shrink a distance")
 

@@ -14,6 +14,7 @@ and the refined estimate is returned outright.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,12 @@ class SecureLocResult:
 
     ``x_init`` and ``detection`` are None when the geometric pre-filter
     already reduced the network to 3 anchors and the clustering stage
-    never ran. ``chose_gtrs`` is True exactly when ``x_gtrs`` is set.
+    never ran. ``chose_gtrs`` is True exactly when ``x_final`` is the
+    refined estimate; otherwise its solve failed and ``x_final`` is ``x_init``.
     """
 
     x_final: np.ndarray
     x_init: np.ndarray | None
-    x_gtrs: np.ndarray | None
     attacker_set: frozenset[int]
     chose_gtrs: bool
     detection: DetectionOutcome | None = None
@@ -72,11 +73,9 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
         if x_init is None:
             raise
         x_gtrs = None
-    x_final = x_init if x_gtrs is None else x_gtrs
     return SecureLocResult(
-        x_final=x_final,
+        x_final=x_init if x_gtrs is None else x_gtrs,
         x_init=x_init,
-        x_gtrs=x_gtrs,
         attacker_set=attackers,
         chose_gtrs=x_gtrs is not None,
         detection=None if x_init is None else outcome,
@@ -93,10 +92,11 @@ def locate_perfect_detection(anchors, m: MeasurementSet, true_attackers) -> np.n
     """Benchmark: solve with the true attacker set removed."""
     anchors = np.asarray(anchors, dtype=float)
     n = anchors.shape[0]
-    bad = [i for i in true_attackers if not 0 <= i < n]
+    attackers = [operator.index(i) for i in true_attackers]
+    bad = [i for i in attackers if not 0 <= i < n]
     if bad:
         raise ValueError(f"attacker indices {bad} outside anchor range 0..{n - 1}")
-    survivors = sorted(set(range(n)) - set(true_attackers))
+    survivors = sorted(set(range(n)) - set(attackers))
     if len(survivors) < 3:
         raise UnlocalizableError("fewer than 3 honest anchors remain")
     return _gtrs_estimate(anchors, m.means, survivors)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from seculoc.bounds import ErrorStats, detection_bounds, prob_abs_less
+from seculoc.bounds import detection_bounds, prob_abs_less
 from seculoc.baseline import glrt_detect
 from seculoc.campaign import CampaignConfig, emit_csv, run_campaign
 from seculoc.gtrs import build_system, solve
@@ -117,13 +117,12 @@ def test_c03_bound_ordering():
     violations = 0
     for _ in range(10_000):
         n = int(rng.integers(4, 7))
-        s = ErrorStats(
-            mu=rng.uniform(-4, 4, n),
-            sigma_y=float(rng.uniform(0.01, 2.5)),
-            attacker_index=int(rng.integers(0, n)),
-            tau=float(rng.uniform(0.0, 1.0)),
+        b = detection_bounds(
+            rng.uniform(-4, 4, n),
+            float(rng.uniform(0.01, 2.5)),
+            int(rng.integers(0, n)),
+            float(rng.uniform(0.0, 1.0)),
         )
-        b = detection_bounds(s)
         if not (0.0 <= max(b.lpd1, b.lpd2) <= b.up_d <= 1.0):
             violations += 1
     report(3, "bound ordering", violations == 0, f"{violations} violations in 10000 sweeps")

@@ -1,6 +1,7 @@
 """Tests for seculoc.bounds."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.special import erfc
 
 from seculoc.bounds import (
     DetectionBounds,
-    ErrorStats,
     _q,
     detection_bounds,
     prob_abs_leq,
@@ -125,22 +125,64 @@ class TestProbAbsLess:
             prob_abs_less(mu_a, mu_i, 1.0)
 
 
+class Case(NamedTuple):
+    """The arguments of ``detection_bounds``, by name."""
+
+    mu: np.ndarray
+    sigma_y: float
+    attacker_index: int
+    tau: float
+
+
 class TestDetectionBounds:
     def test_rejects_non_finite_stats(self):
         # A NaN sigma_y made the bounds read lpd1 = 1.0 above up_d = 0.0.
         with pytest.raises(ValueError, match="sigma_y must be positive and finite"):
-            ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=math.nan, attacker_index=0, tau=0.3)
+            detection_bounds([1.0, 0.0, 0.0, 0.0], math.nan, 0, 0.3)
         with pytest.raises(ValueError, match="tau must be non-negative and finite"):
-            ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=0.4, attacker_index=0, tau=math.nan)
+            detection_bounds([1.0, 0.0, 0.0, 0.0], 0.4, 0, math.nan)
         # A NaN attacker mean made lpd1 read 1.0 above up_d = 0.0.
         for mu in ([math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, math.inf, 0.0]):
             with pytest.raises(ValueError, match="mu must be finite"):
-                ErrorStats(mu=mu, sigma_y=0.4, attacker_index=0, tau=0.3)
+                detection_bounds(mu, 0.4, 0, 0.3)
+
+    @pytest.mark.parametrize("mu", [[1.0], [[1.0, 0.0], [0.0, 0.0]]])
+    def test_rejects_malformed_means(self, mu):
+        with pytest.raises(ValueError, match="mu must hold one mean per anchor, at least two"):
+            detection_bounds(mu, 0.4, 0, 0.3)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_rejects_attacker_outside_range(self, index):
+        with pytest.raises(ValueError, match="attacker_index outside anchor range"):
+            detection_bounds([1.0, 0.0, 0.0, 0.0], 0.4, index, 0.3)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0)])
+    def test_rejects_non_integer_attacker(self, index):
+        # 1.5 used to pass the range check and fail later in list indexing.
+        with pytest.raises(TypeError):
+            detection_bounds([0.0, 1.0, 0.0, 0.0], 0.4, index, 0.3)
+
+    def test_accepts_numpy_integer_attacker(self):
+        mu = [0.0, 1.0, 0.2, -0.1]
+        assert detection_bounds(mu, 0.4, np.int64(1), 0.3) == detection_bounds(mu, 0.4, 1, 0.3)
+
+    def test_union_bound_reuses_the_threshold_probability_exactly(self):
+        # lpd1 subtracts 1 - up_d where the union bound reads P(|y_a| <= tau);
+        # the two are the same float, so lpd1 equals the formula with ==.
+        rng = np.random.default_rng(47)
+        for _ in range(3000):
+            n = int(rng.integers(2, 11))
+            mu = (rng.uniform(-3, 3, n) * rng.choice([0.001, 1.0, 30.0])).tolist()
+            sigma, a = float(rng.uniform(0.01, 2.0)), int(rng.integers(0, n))
+            tau = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+            union = sum(prob_abs_less(mu[a], m, sigma) for i, m in enumerate(mu) if i != a)
+            want = min(1.0, max(0.0, 1.0 - union - prob_abs_leq(tau, mu[a], sigma)))
+            assert detection_bounds(mu, sigma, a, tau).lpd1 == want
 
     def make_stats(self, rng):
         n = int(rng.integers(4, 7))
         mu = rng.uniform(-3, 3, n)
-        return ErrorStats(
+        return Case(
             mu=mu,
             sigma_y=float(rng.uniform(0.02, 2.0)),
             attacker_index=int(rng.integers(0, n)),
@@ -150,7 +192,7 @@ class TestDetectionBounds:
     def test_ordering_random_sweep(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
-            b = detection_bounds(self.make_stats(rng))
+            b = detection_bounds(*self.make_stats(rng))
             assert 0.0 <= b.lpd1 <= 1.0
             assert 0.0 <= b.lpd2 <= 1.0
             assert b.lp_d == max(b.lpd1, b.lpd2)
@@ -175,13 +217,13 @@ class TestDetectionBounds:
         rng = np.random.default_rng(41)
         for _ in range(2000):
             n = int(rng.integers(4, 11))
-            s = ErrorStats(
+            s = Case(
                 mu=rng.uniform(-3, 3, n) * rng.choice([0.01, 1.0, 10.0]),
                 sigma_y=float(rng.uniform(0.02, 2.0)),
                 attacker_index=int(rng.integers(0, n)),
                 tau=float(rng.uniform(0.0, 1.0)),
             )
-            assert tuple(detection_bounds(s)) == reference(s)
+            assert tuple(detection_bounds(*s)) == reference(s)
 
     def test_equals_array_form_bit_for_bit(self):
         # Reference: the numpy form, with every Q value from one array call.
@@ -208,30 +250,28 @@ class TestDetectionBounds:
         rng = np.random.default_rng(43)
         for n in range(4, 11):
             for _ in range(300):
-                s = ErrorStats(
+                s = Case(
                     mu=rng.uniform(-3, 3, n) * rng.choice([0.01, 1.0, 10.0]),
                     sigma_y=float(rng.uniform(0.02, 2.0)),
                     attacker_index=int(rng.integers(0, n)),
                     tau=float(rng.uniform(0.0, 1.0)),
                 )
-                assert tuple(detection_bounds(s)) == array_form(s)
+                assert tuple(detection_bounds(*s)) == array_form(s)
 
     def test_zero_tau_upper_bound_is_one(self):
-        s = ErrorStats(mu=[0.5, 0.0, 0.1, -0.2], sigma_y=0.3, attacker_index=0, tau=0.0)
-        assert detection_bounds(s).up_d == pytest.approx(1.0, abs=1e-12)
+        assert detection_bounds([0.5, 0.0, 0.1, -0.2], 0.3, 0, 0.0).up_d == pytest.approx(1.0, abs=1e-12)
 
     def test_upper_bound_nonincreasing_in_tau(self):
         mu = [1.2, 0.1, -0.3, 0.2]
         taus = np.linspace(0.0, 1.0, 11)
         ups = [
-            detection_bounds(ErrorStats(mu=mu, sigma_y=0.4, attacker_index=0, tau=t)).up_d
+            detection_bounds(mu, 0.4, 0, t).up_d
             for t in taus
         ]
         assert all(a >= b - 1e-12 for a, b in zip(ups, ups[1:]))
 
     def test_lpd2_vanishes_at_zero_tau(self):
-        s = ErrorStats(mu=[1.0, 0.0, 0.0, 0.0], sigma_y=0.4, attacker_index=0, tau=0.0)
-        b = detection_bounds(s)
+        b = detection_bounds([1.0, 0.0, 0.0, 0.0], 0.4, 0, 0.0)
         assert b.lpd2 == pytest.approx(0.0, abs=1e-12)
 
     def test_sandwiches_sampled_detection_probability(self):
@@ -239,7 +279,7 @@ class TestDetectionBounds:
         rng = np.random.default_rng(37)
         for _ in range(25):
             s = self.make_stats(rng)
-            b = detection_bounds(s)
+            b = detection_bounds(*s)
             draws = rng.normal(s.mu, s.sigma_y, size=(200_000, s.mu.size))
             e = np.abs(draws)
             a = s.attacker_index
@@ -249,5 +289,4 @@ class TestDetectionBounds:
             assert b.lp_d - 3 * se <= emp <= b.up_d + 3 * se
 
     def test_returns_named_tuple(self):
-        s = ErrorStats(mu=[1.0, 0.2, 0.1, 0.0], sigma_y=0.5, attacker_index=0, tau=0.3)
-        assert isinstance(detection_bounds(s), DetectionBounds)
+        assert isinstance(detection_bounds([1.0, 0.2, 0.1, 0.0], 0.5, 0, 0.3), DetectionBounds)

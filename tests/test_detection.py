@@ -53,7 +53,7 @@ class TestBuildIntersectionGraph:
     def test_consistent_square_all_pairs_intersect(self):
         g = build_intersection_graph(SQUARE, square_distances())
         assert len(g.points) == 6
-        assert not g.disjoint_pairs
+        assert g.pairs == tuple(itertools.combinations(range(4), 2))
         assert not g.geometric_flags
 
     def test_gross_enlargement_flags_anchor(self):
@@ -68,9 +68,11 @@ class TestBuildIntersectionGraph:
             sc = random_scene(rng)
             m = generate_measurements(sc, AttackSpec(frozenset({0}), 6.0), 1.0, 1, rng)
             g = build_intersection_graph(sc.anchors, m.means)
-            all_pairs = set(itertools.combinations(range(4), 2))
-            assert set(g.pairs) | set(g.disjoint_pairs) == all_pairs
-            assert not set(g.pairs) & set(g.disjoint_pairs)
+            assert g.pairs == tuple(sorted(set(g.pairs)))
+            # A pair is absent from the graph exactly when its circles do not meet.
+            circles = [Circle(x, y, r) for (x, y), r in zip(sc.anchors.tolist(), m.means.tolist())]
+            for i, j in itertools.combinations(range(4), 2):
+                assert ((i, j) in g.pairs) == (intersect_circles(circles[i], circles[j]) is not None)
 
     def test_matches_pairwise_classification_oracle(self):
         # Oracle: re-derive intersect/disjoint from the raw triangle inequalities.
@@ -83,7 +85,7 @@ class TestBuildIntersectionGraph:
             for i, j in itertools.combinations(range(4), 2):
                 gap = np.linalg.norm(sc.anchors[i] - sc.anchors[j])
                 apart = gap > d[i] + d[j] or d[i] > gap + d[j] or d[j] > gap + d[i]
-                assert ((i, j) in g.disjoint_pairs) == apart
+                assert ((i, j) not in g.pairs) == apart
 
     def test_flags_subset_of_fully_disjoint_anchors(self):
         # At most one flag: only the strictly largest circle can contain
@@ -130,7 +132,7 @@ class TestBuildIntersectionGraph:
             assert g.pairs == tuple(points)
             assert g.points.shape == (len(points), 2, 2)
             assert g.points.reshape(-1, 4).tolist() == [list(pts) for pts in points.values()]
-            assert g.disjoint_pairs == disjoint
+            assert set(itertools.combinations(range(len(d)), 2)) - set(g.pairs) == disjoint
             assert g.geometric_flags == flags
 
         rng = np.random.default_rng(88)
@@ -173,7 +175,6 @@ class TestBuildIntersectionGraph:
         want = {relabel(p): unordered(pts) for p, pts in zip(g.pairs, g.points)}
         assert h.pairs == tuple(sorted(want))
         assert [unordered(pts) for pts in h.points] == [want[p] for p in h.pairs]
-        assert h.disjoint_pairs == {relabel(p) for p in g.disjoint_pairs}
         assert h.geometric_flags == {new[i] for i in g.geometric_flags}
 
 
@@ -258,7 +259,6 @@ class TestSelectHonestPoints:
         g = IntersectionGraph(
             pairs=((0, 1), (2, 3)),
             points=np.stack([np.zeros((2, 2)), np.ones((2, 2))]),
-            disjoint_pairs=frozenset(),
             geometric_flags=frozenset(),
         )
         with pytest.raises(UnlocalizableError, match="intersecting pairs"):
@@ -326,7 +326,6 @@ def graph_of(points):
     return IntersectionGraph(
         pairs=tuple((i, i + 1) for i in range(len(points))),
         points=np.asarray(points, dtype=float),
-        disjoint_pairs=frozenset(),
         geometric_flags=frozenset(),
     )
 
@@ -394,7 +393,7 @@ class TestClosingStep:
             g = build_intersection_graph(target + offsets[:n], np.full(n, 5.0))
             for keep in itertools.combinations(range(len(g.pairs)), min(len(g.pairs), 8)):
                 rows = list(keep)
-                sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
+                sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset())
                 self.check(sub, subsets)
                 np.testing.assert_array_equal(select_honest_points(sub, 3).points, np.tile(target, (3, 1)))
 
@@ -943,6 +942,42 @@ class TestDetect:
             rates.append(fa / ran)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
+    def test_disjoint_count_matches_brute_count(self, monkeypatch):
+        # The stage sizes the honest set from the disjoint pairs among the
+        # active anchors, counted as C(active, 2) minus the graph's rows.
+        # Count them pair by pair and compare the size it requests.
+        requests = []
+        original = detection.select_honest_points
+
+        def spy(graph, size):
+            requests.append(size)
+            return original(graph, size)
+
+        monkeypatch.setattr(detection, "select_honest_points", spy)
+        rng = np.random.default_rng(12)
+        flagged = 0
+        for _ in range(600):
+            n = int(rng.integers(4, 11))
+            sc = random_scene(rng, n=n)
+            delta = float(rng.choice([0.0, 8.0, 40.0]))
+            d = generate_measurements(sc, AttackSpec(frozenset({0}), delta), 1.0, 1, rng).means
+            flags = build_intersection_graph(sc.anchors, d).geometric_flags
+            active = [i for i in range(n) if i not in flags]
+            circles = [Circle(x, y, r) for (x, y), r in zip(sc.anchors.tolist(), d.tolist())]
+            brute = sum(intersect_circles(circles[i], circles[j]) is None
+                        for i, j in itertools.combinations(active, 2))
+            requests.clear()
+            try:
+                detect(sc.anchors, d, 0.3)
+            except UnlocalizableError:
+                pass
+            if len(active) == 3:
+                assert not requests
+                continue
+            assert requests == [max(3, len(active) - brute) if brute else len(active) - 1]
+            flagged += len(flags)
+        assert flagged > 50
+
     def test_rejects_small_network(self):
         # The same error class as locate_secure, from the graph both build.
         with pytest.raises(UnlocalizableError, match="at least 4 anchors"):
@@ -978,9 +1013,9 @@ class TestDetect:
             survivors = set(range(5)) - removed
             # The rows of the graph whose anchors both survive.
             rows = [r for r, p in enumerate(g.pairs) if not removed & set(p)]
-            sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset(), frozenset())
-            disjoint = [p for p in g.disjoint_pairs if not removed & set(p)]
-            target = len(survivors) - len(disjoint) if disjoint else len(survivors) - 1
+            sub = IntersectionGraph(tuple(g.pairs[r] for r in rows), g.points[rows], frozenset())
+            n_disjoint = math.comb(len(survivors), 2) - len(rows)
+            target = len(survivors) - n_disjoint if n_disjoint else len(survivors) - 1
             if target < 3 or len(sub.points) < target:
                 continue
             honest = select_honest_points(sub, target)

@@ -45,6 +45,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             AttackSpec(frozenset({1}), -0.5)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_attack_rejects_non_finite_delta(self, delta):
+        # Both used to construct, and sampling then blamed the samples.
+        with pytest.raises(ValueError, match="attack intensity delta must be finite"):
+            AttackSpec(frozenset({0}), delta)
+
     def test_attack_coerces_corrupted(self):
         a = AttackSpec({2, 0}, 1.0)
         assert a.corrupted == frozenset({0, 2})

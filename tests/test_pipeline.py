@@ -7,7 +7,7 @@ import pytest
 
 import seculoc.pipeline
 from seculoc.baseline import estimate_attack_intensity, glrt_detect, wls_locate
-from seculoc.detection import build_intersection_graph
+from seculoc.detection import build_intersection_graph, relative_errors
 from seculoc.errors import NoRootError, UnlocalizableError
 from seculoc.gtrs import build_system
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
@@ -71,11 +71,12 @@ class TestLocateSecure:
                 res = locate_secure(sc.anchors, m, 0.3)
             except UnlocalizableError:
                 continue
-            candidates = [v for v in (res.x_init, res.x_gtrs) if v is not None]
-            assert any(np.array_equal(res.x_final, c) for c in candidates)
-            if res.x_gtrs is not None:
-                assert res.chose_gtrs
-                assert res.x_final is res.x_gtrs
+            if res.chose_gtrs:
+                # The refined estimate is the solve on the anchors left unflagged.
+                refined = locate_perfect_detection(sc.anchors, m, res.attacker_set)
+                np.testing.assert_array_equal(res.x_final, refined)
+            else:
+                assert res.x_final is res.x_init
 
     def test_geometric_shortcut_path(self):
         d = np.linalg.norm(ANCHORS - TARGET, axis=1)
@@ -94,9 +95,8 @@ class TestLocateSecure:
 
         monkeypatch.setattr(seculoc.pipeline, "solve", no_root)
         res = locate_secure(ANCHORS, noiseless(k=3), 0.3)
-        assert res.x_init is not None and res.x_gtrs is None
+        assert res.x_init is not None and not res.chose_gtrs
         assert res.x_final is res.x_init
-        assert not res.chose_gtrs
         # Without an initial estimate there is nothing to fall back to.
         d = np.linalg.norm(ANCHORS - TARGET, axis=1)
         samples = d[:, None].repeat(2, axis=1)
@@ -128,7 +128,7 @@ class TestLocateSecure:
                 res = locate_secure(sc.anchors, m, 0.3)
             except UnlocalizableError:
                 continue
-            if res.attacker_set != frozenset({att}) or res.x_gtrs is None:
+            if res.attacker_set != frozenset({att}) or not res.chose_gtrs:
                 continue
             # Bump before constructing: the set's means are computed once.
             samples = m.samples.copy()
@@ -138,9 +138,9 @@ class TestLocateSecure:
                 res2 = locate_secure(sc.anchors, bumped, 0.3)
             except UnlocalizableError:
                 continue
-            if res2.attacker_set != res.attacker_set or res2.x_gtrs is None:
+            if res2.attacker_set != res.attacker_set or not res2.chose_gtrs:
                 continue
-            np.testing.assert_array_equal(res.x_gtrs, res2.x_gtrs)
+            np.testing.assert_array_equal(res.x_final, res2.x_final)
             checked += 1
         assert checked > 50
 
@@ -205,7 +205,8 @@ class TestBenchmarks:
         m = noiseless()
         res = locate_secure(ANCHORS, m, 0.3)
         nd = locate_no_detection(ANCHORS, m)
-        np.testing.assert_allclose(nd, res.x_gtrs, atol=1e-12)
+        assert res.chose_gtrs
+        np.testing.assert_allclose(nd, res.x_final, atol=1e-12)
         pd = locate_perfect_detection(ANCHORS, m, set())
         np.testing.assert_allclose(pd, nd, atol=1e-12)
 
@@ -231,6 +232,18 @@ class TestBenchmarks:
         with pytest.raises(ValueError, match="outside anchor range"):
             locate_perfect_detection(ANCHORS, noiseless(), attackers)
 
+    @pytest.mark.parametrize("attackers", [[0.5], [1.0], [np.float64(2.0)]])
+    def test_perfect_detection_rejects_non_integer_attackers(self, attackers):
+        # [0.5] passed the range check, removed no anchor and returned the
+        # no-detection estimate.
+        with pytest.raises(TypeError):
+            locate_perfect_detection(ANCHORS, noiseless(), attackers)
+
+    def test_perfect_detection_accepts_numpy_integers(self):
+        m = noiseless()
+        got = locate_perfect_detection(ANCHORS, m, np.array([1]))
+        np.testing.assert_array_equal(got, locate_perfect_detection(ANCHORS, m, [1]))
+
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("entry", [
@@ -247,3 +260,24 @@ def test_rejects_non_finite_anchor(entry, bad):
     anchors[2, 0] = bad
     with pytest.raises(ValueError, match="anchors must be finite"):
         entry(anchors, noiseless())
+
+
+def _with(array, index, value):
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m: glrt_detect([math.nan, 0.0], m, ANCHORS, 0.05),
+    lambda m: estimate_attack_intensity([0.0, math.inf], m, ANCHORS),
+    lambda m: relative_errors([math.nan, 0.0], ANCHORS, m.means),
+    lambda m: relative_errors(TARGET, ANCHORS, _with(m.means, 1, math.nan)),
+    lambda m: relative_errors(TARGET, ANCHORS, _with(m.means, 1, math.inf)),
+    lambda m: relative_errors(TARGET, _with(ANCHORS, (3, 1), math.inf), m.means),
+], ids=["glrt_detect-position", "estimate_attack_intensity-position", "relative_errors-position",
+        "relative_errors-nan-range", "relative_errors-inf-range", "relative_errors-inf-anchor"])
+def test_residuals_reject_non_finite_inputs(entry):
+    # Each used to return an empty flag set, NaN biases, or NaN and inf errors.
+    with pytest.raises(ValueError, match="must be finite"):
+        entry(noiseless())
