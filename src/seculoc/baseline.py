@@ -52,8 +52,7 @@ def estimate_attack_intensity(x_est, m: MeasurementSet, anchors) -> np.ndarray:
     point = np.asarray(x_est, dtype=float).tolist()
     if not all(map(math.isfinite, point)):
         raise ValueError("x_est must be finite")
-    est = distances_to(anchors.tolist(), point)
-    return (m.samples - np.array(est)[:, None]).mean(axis=1)
+    return m.means - np.array(distances_to(anchors.tolist(), point))
 
 
 def glrt_threshold(p_fa: float, sigma: float, k_samples: int) -> float:

@@ -194,7 +194,7 @@ def _attack_sets(cfg: CampaignConfig) -> list[frozenset[int]]:
 
 
 def _degenerate(target: np.ndarray, anchors: np.ndarray) -> bool:
-    if np.linalg.norm(anchors - target, axis=1).min() < _MIN_ANCHOR_TARGET_GAP:
+    if min(distances_to(anchors.tolist(), target.tolist())) < _MIN_ANCHOR_TARGET_GAP:
         return True
     centred = anchors - anchors.mean(axis=0)
     (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
@@ -309,40 +309,32 @@ def _deployment_partial(args: tuple[CampaignConfig, int]):
     return acc, resamples
 
 
+def _ratio(total: float, count: int) -> float:
+    return total / count if count else math.nan
+
+
 def _finalize(cfg: CampaignConfig, acc: np.ndarray) -> list[MethodDeltaStats]:
     rows = []
     for mi, method in enumerate(cfg.methods):
         for di, delta in enumerate(cfg.delta_grid):
             cell = acc[mi, di]
             ok = int(cell[_OK])
-            rmse = math.sqrt(cell[_SQERR] / ok) if ok else math.nan
-            if method in _DETECTING and ok:
-                det = cell[_HITS] / ok
-                fa = cell[_FAS] / ok
-            else:
-                det = math.nan
-                fa = math.nan
+            detecting = ok if method in _DETECTING else 0
             nb = int(cell[_NBOUNDS])
-            if nb:
-                b = [cell[f] / nb for f in (_LPD1, _LPD2, _LPD, _UPD)]
-                thresh_det = cell[_THRESH_HITS] / nb
-            else:
-                b = [math.nan] * 4
-                thresh_det = math.nan
             rows.append(
                 MethodDeltaStats(
                     method=method,
                     delta=delta,
-                    rmse=rmse,
-                    detection_rate=det,
-                    false_alarm_rate=fa,
-                    lpd1=b[0],
-                    lpd2=b[1],
-                    lp_d=b[2],
-                    up_d=b[3],
+                    rmse=math.sqrt(_ratio(cell[_SQERR], ok)),
+                    detection_rate=_ratio(cell[_HITS], detecting),
+                    false_alarm_rate=_ratio(cell[_FAS], detecting),
+                    lpd1=_ratio(cell[_LPD1], nb),
+                    lpd2=_ratio(cell[_LPD2], nb),
+                    lp_d=_ratio(cell[_LPD], nb),
+                    up_d=_ratio(cell[_UPD], nb),
                     trials=ok,
                     excluded_trials=int(cell[_EXCLUDED]),
-                    threshold_detection_rate=thresh_det,
+                    threshold_detection_rate=_ratio(cell[_THRESH_HITS], nb),
                     bound_trials=nb,
                 )
             )

@@ -170,21 +170,20 @@ def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _subsets(n_open: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subsets(n_open: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Every choice of r of n_open slots, with the slot pairs its cost sums over.
 
     Returns the (M, r) table of r-combinations in lexicographic order and
-    its two (M, C(r, 2)) columns of row and column slots, so one gather and
-    a row sum score every choice. The cache keeps one table per open-slot
-    count and r; a two-point table has C(n_open, 2) rows, and every other
-    table gathers at most ``_CLOSING_BUDGET`` distances.
+    the flat (n_open-square) indices of its C(r, 2) slot pairs, so one
+    ``take`` and a row sum score every choice. The cache keeps one table
+    per open-slot count and r; a two-point table has C(n_open, 2) rows, and
+    every other table gathers at most ``_CLOSING_BUDGET`` distances.
     """
     table = np.array(list(itertools.combinations(range(n_open), r)), dtype=np.intp).reshape(-1, r)
     iu, jv = _upper(r)
-    rows, cols = table[:, iu], table[:, jv]
-    for arr in (table, rows, cols):
-        arr.flags.writeable = False
-    return table, rows, cols
+    pair_idx = table[:, iu] * n_open + table[:, jv]
+    table.flags.writeable = pair_idx.flags.writeable = False
+    return table, pair_idx
 
 
 def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
@@ -246,7 +245,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     the 1e-9 relative slack below is in no choice the search could keep,
     so it leaves the search, whatever its sibling's bound.
 
-    A node holds the slots chosen so far, their cost, each kept slot's
+    A node holds the slots chosen so far, their cost, each candidate's
     summed distance to them (reach) and the slots it may still add (open),
     with r points left to add. It closes in one array step that scores
     every completion at once: always with two points left, and otherwise
@@ -270,30 +269,29 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     - The +inf distances only enter sums, sorts and comparisons, never an
       inf - inf.
 
-    Survivors are mapped back to the caller's indices, re-scored by one
-    gather-and-sum in the caller's order and exact ties broken on the
-    sorted coordinates, then on (pairs, signs) in lexicographic order. A
-    cost of exactly zero, which nothing beats, stops the search: its ties
-    are the candidates of ``size`` pairs that share one exact point, and
-    ``_coincident_choice`` applies the same tie rule to them over every
-    candidate.
+    The search keeps the caller's indices: the root pass only narrows the
+    open slots, and each leaf is the sorted tuple of its candidates.
+    Survivors are re-scored by one gather-and-sum in that order and exact
+    ties broken on the sorted coordinates, then on (pairs, signs) in
+    lexicographic order. A cost of exactly zero, which nothing beats,
+    stops the search: its ties are the candidates of ``size`` pairs that
+    share one exact point, and ``_coincident_choice`` applies the same tie
+    rule to them over every candidate.
     """
     limit = math.inf  # the incumbent's cost plus the 1e-9 relative slack
     leaves: list[tuple[float, tuple[int, ...]]] = []
-    search = dist  # distances between the kept slots
-    keep = None  # the caller's index of each slot, once the root pass ran
 
     def descend(chosen: tuple[int, ...], cost: float, reach: np.ndarray, opn: np.ndarray, r: int):
-        # reach[x]: summed distance from kept slot x to the chosen slots.
+        # reach[x]: summed distance from candidate x to the chosen slots.
         nonlocal limit
         if limit == 0.0:
             # No cost beats an exact zero, and searching for its exact ties
             # (coincident points of many pairs) would enumerate them all.
             return
-        sub = search if len(opn) == len(search) else search.take(opn, axis=0).take(opn, axis=1)
+        sub = dist if len(opn) == len(dist) else dist.take(opn, axis=0).take(opn, axis=1)
         if _closes(len(opn), r):
-            table, rows, cols = _subsets(len(opn), r)
-            costs = sub[rows, cols].sum(axis=1)
+            table, pair_idx = _subsets(len(opn), r)
+            costs = sub.take(pair_idx).sum(axis=1)
             if chosen:  # cost and reach are zero at the root
                 costs += reach.take(opn)[table].sum(axis=1)
                 costs += cost
@@ -312,25 +310,21 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
             if cost + vs[i] + sum(vs[i + 1:i + r]) > limit:
                 break
             c = int(slots[i])
-            descend(chosen + (c,), cost + float(reach[c]), reach + search[c], slots[i + 1:], r - 1)
+            descend(chosen + (c,), cost + float(reach[c]), reach + dist[c], slots[i + 1:], r - 1)
 
-    n_slots = dist.shape[0]
-    if not _closes(n_slots, size):
+    slots = np.arange(len(dist))
+    if not _closes(len(dist), size):
         # Seed the incumbent and search only the candidates whose root bound
         # is within it.
         bounds, best = _root_pass(dist, size)
         limit = best + 1e-9 * best
-        keep = np.flatnonzero(bounds <= limit)
-        n_slots = len(keep)
-        search = dist.take(keep, axis=0).take(keep, axis=1)
-    descend((), 0.0, np.zeros(n_slots), np.arange(n_slots), size)
+        slots = np.flatnonzero(bounds <= limit)
+    descend((), 0.0, np.zeros(len(dist)), slots, size)
     if limit == 0.0:
         return _coincident_choice(flat, size)
-    near = [sel for c, sel in leaves if c <= limit]
-    if keep is not None:
-        near = [tuple(sorted(keep[list(sel)].tolist())) for sel in near]
+    near = [sorted(sel) for c, sel in leaves if c <= limit]
     if len(near) == 1:
-        return list(near[0])
+        return near[0]
     idx = np.array(near)
     iu, jv = _upper(size)
     comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import distances_to
 
 # Generated ranges become circle radii, so they must stay positive.
 _DISTANCE_FLOOR = 1e-6
@@ -44,7 +47,7 @@ class Scene:
         return self.anchors.shape[0]
 
     def true_distances(self) -> np.ndarray:
-        return np.linalg.norm(self.anchors - self.target, axis=1)
+        return np.array(distances_to(self.anchors.tolist(), self.target.tolist()))
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class AttackSpec:
     delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "corrupted", frozenset(self.corrupted))
+        object.__setattr__(self, "corrupted", frozenset(map(operator.index, self.corrupted)))
         if not math.isfinite(self.delta):
             raise ValueError("attack intensity delta must be finite")
         if self.delta < 0:
@@ -114,7 +117,6 @@ def generate_measurements(
         raise ValueError(f"corrupted indices {bad} outside anchor range 0..{n - 1}")
     mean = scene.true_distances()
     if attack.corrupted:
-        mean = mean.copy()
         mean[sorted(attack.corrupted)] += attack.delta
     samples = mean[:, None] + rng.normal(0.0, sigma, size=(n, k_samples))
     np.maximum(samples, _DISTANCE_FLOOR, out=samples)

@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from seculoc.baseline import estimate_attack_intensity, glrt_detect, glrt_threshold, wls_locate
 from seculoc.errors import DegenerateGeometryError
+from seculoc.geometry import distances_to
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 
 ANCHORS = np.array([[0.0, 0.0], [16.0, 1.0], [2.0, 15.0], [15.0, 16.0]])
@@ -162,3 +163,13 @@ class TestGlrtDetect:
             estimate_attack_intensity(TARGET, m, ANCHORS)
         with pytest.raises(ValueError, match="one sample row per anchor"):
             glrt_detect(TARGET, m, ANCHORS, 0.05)
+
+    def test_intensity_reads_the_set_means(self):
+        # d-bar minus the distances, exactly: no second average over the samples.
+        rng = np.random.default_rng(5)
+        sc = Scene(target=TARGET, anchors=ANCHORS)
+        for _ in range(50):
+            m = generate_measurements(sc, AttackSpec(frozenset({1}), 4.0), 1.0, 10, rng)
+            x = rng.uniform(0.0, 20.0, 2)
+            want = m.means - np.array(distances_to(ANCHORS.tolist(), x.tolist()))
+            assert estimate_attack_intensity(x, m, ANCHORS).tolist() == want.tolist()

@@ -55,6 +55,17 @@ class TestTypes:
         a = AttackSpec({2, 0}, 1.0)
         assert a.corrupted == frozenset({0, 2})
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, "1"])
+    def test_attack_rejects_non_integer_index(self, index):
+        # 0.5 used to construct, and sampling then failed with numpy's IndexError.
+        with pytest.raises(TypeError):
+            AttackSpec(frozenset({index}), 9.0)
+
+    def test_attack_keeps_numpy_integer_as_int(self):
+        a = AttackSpec(frozenset({np.int64(2)}), 9.0)
+        assert a.corrupted == frozenset({2})
+        assert [type(i) for i in a.corrupted] == [int]
+
     def test_measurement_set_validation(self):
         with pytest.raises(ValueError):
             MeasurementSet(samples=np.ones((4, 1)), sigma=0.0)
