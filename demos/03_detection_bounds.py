@@ -16,7 +16,6 @@ from seculoc.bounds import detection_bounds
 rng = np.random.default_rng(12)
 
 # Relative-error means for one attacked anchor among four, in median units.
-true_over_median = np.array([0.85, 1.10, 0.70, 1.25])
 estimate_bias = np.array([0.02, -0.01, 0.03, -0.02])   # small initial-estimate error
 attacker = 2
 sigma_y = 0.10

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,8 +110,13 @@ class CampaignConfig:
     def __post_init__(self):
         object.__setattr__(self, "delta_grid", tuple(float(v) for v in self.delta_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
-
-    def validate(self):
+        # A field with an int default holds an int; numpy integers become ints.
+        for f in fields(self):
+            if type(f.default) is int:
+                try:
+                    object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
+                except TypeError:
+                    raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}") from None
         problems = []
         if not (math.isfinite(self.region_side) and self.region_side > 0):
             problems.append("region_side must be positive and finite")
@@ -227,7 +233,11 @@ def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
         if not _degenerate(target, anchors):
             scene = Scene(target=target, anchors=anchors, region=(0.0, 0.0, side, side))
             return scene, attempt
-    raise RuntimeError(f"deployment {dep}: no non-degenerate layout in 1000 draws")
+    raise ValueError(
+        f"deployment {dep}: 1000 draws placed no layout of n_anchors={cfg.n_anchors} anchors, "
+        f"each at least {_MIN_ANCHOR_TARGET_GAP} m from the target and not all collinear, "
+        f"in a square of region_side={side} m"
+    )
 
 
 def _trial_bounds(scene, attack_set, delta, x_init, mset, tau):
@@ -348,7 +358,6 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignStats:
     floating-point reduction is the same whether trials run inline or on a
     process pool.
     """
-    cfg.validate()
     jobs = [(cfg, dep) for dep in range(cfg.n_deployments)]
     # A worker without a deployment would only cost a fork.
     workers = min(threads, cfg.n_deployments)

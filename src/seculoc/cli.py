@@ -69,7 +69,7 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    # CampaignConfig.validate rejects unknown names.
+    # CampaignConfig rejects unknown names.
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
@@ -154,20 +154,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        cfg = _build_config(args.command, args)
-        cfg.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
     out = args.out or f"{args.command}.csv"
     parent = os.path.dirname(out) or os.curdir
-    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+    try:
+        cfg = _build_config(args.command, args)
         # Checked before the campaign, which can run for minutes.
-        print(f"cannot write campaign CSV to {out}: {parent} is not a writable directory", file=sys.stderr)
-        return 3
-    stats = run_campaign(cfg, threads=max(1, args.threads))
+        if os.path.isdir(out):
+            print(f"cannot write campaign CSV to {out}: it is a directory", file=sys.stderr)
+            return 3
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            print(f"cannot write campaign CSV to {out}: {parent} is not a writable directory", file=sys.stderr)
+            return 3
+        stats = run_campaign(cfg, threads=max(1, args.threads))
+    except ValueError as exc:
+        # Construction checks every field; a region too small to place the
+        # anchors, or values whose samples overflow, fail only mid-run.
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     try:
         emit_csv(stats, out)
     except OSError as exc:

@@ -24,7 +24,7 @@ TINY = dict(n_deployments=5, n_corruptions=2, seed=7)
 
 class TestConfig:
     def test_defaults_validate(self):
-        CampaignConfig().validate()
+        CampaignConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,7 +45,7 @@ class TestConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            CampaignConfig(**kwargs).validate()
+            CampaignConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(delta_grid=(5.0, 5.0)), "delta_grid values must not repeat"),
@@ -55,9 +55,28 @@ class TestConfig:
         # A repeated cell would run every trial twice and emit two rows that
         # CampaignStats.get cannot tell apart.
         with pytest.raises(ValueError, match=message):
-            CampaignConfig(**kwargs).validate()
+            CampaignConfig(**kwargs)
         with pytest.raises(ValueError, match=message):
             run_campaign(CampaignConfig(n_deployments=1, n_corruptions=1, **kwargs))
+
+    @pytest.mark.parametrize("name", [
+        "n_anchors", "n_deployments", "n_corruptions", "k_samples", "attackers_per_trial", "seed",
+    ])
+    def test_rejects_non_integer_counts(self, name):
+        # Even a whole float is refused: the run would fail on it mid-campaign
+        # with a bare TypeError.
+        for value in (1.5, float(getattr(CampaignConfig(), name))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                CampaignConfig(**{name: value})
+
+    def test_keeps_numpy_integer_count_as_int(self):
+        cfg = CampaignConfig(n_anchors=np.int64(5))
+        assert type(cfg.n_anchors) is int and cfg.n_anchors == 5
+
+    def test_unplaceable_region_names_the_reason(self):
+        cfg = CampaignConfig(region_side=0.1, n_deployments=1, n_corruptions=1)
+        with pytest.raises(ValueError, match=r"n_anchors=4 anchors, each at least 0\.5 m .* region_side=0\.1 m"):
+            run_campaign(cfg)
 
 
 class TestRunCampaign:

@@ -170,6 +170,26 @@ class TestConfigHandling:
         assert run(["detection", "--out", str(out), *FAST]) == 3
         assert capsys.readouterr().err.startswith(f"cannot write campaign CSV to {out}: ")
 
+    def test_out_naming_a_directory_fails_before_the_campaign(self, tmp_path, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output path was checked")
+
+        monkeypatch.setattr(seculoc.cli, "run_campaign", no_campaign)
+        assert run(["detection", "--out", str(tmp_path), *FAST]) == 3
+        assert capsys.readouterr().err == f"cannot write campaign CSV to {tmp_path}: it is a directory\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--region-side", "0.1", "n_anchors=4 anchors, each at least 0.5 m from the target"),
+        # At FAST's seed the first infinite sample is caught before numpy warns of an overflow.
+        ("--sigma", "1e308", "samples must be finite"),
+    ])
+    def test_campaign_failing_on_its_config_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--out", str(out), *FAST, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not out.exists()
+
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[campaign]\nn_anchors = 5\nsigma = 2.0\ndelta_grid = 1,2\n")
