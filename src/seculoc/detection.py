@@ -76,10 +76,11 @@ class DetectionOutcome:
     """Result of the detection stage.
 
     ``relative_errors`` covers every input anchor (including one flagged on
-    geometric grounds); ``attacker_set`` holds both the geometric flag and
-    threshold removals. When the geometric flag alone shrinks the network to
-    the minimum localizable size, the clustering and thresholding stages are
-    skipped and ``x_init``, ``relative_errors``, and ``honest`` are None.
+    geometric grounds); ``removed`` holds the threshold's removals in order,
+    and ``attacker_set`` adds the geometric flag to them. When the geometric
+    flag alone shrinks the network to the minimum localizable size, the
+    clustering and thresholding stages are skipped: ``x_init``,
+    ``relative_errors`` and ``honest`` are None and ``removed`` is empty.
     """
 
     x_init: np.ndarray | None
@@ -87,6 +88,7 @@ class DetectionOutcome:
     relative_errors: np.ndarray | None
     honest: HonestSet | None
     geometric_flags: frozenset[int]
+    removed: tuple[int, ...] = ()
 
 
 def build_intersection_graph(anchors, d) -> IntersectionGraph:
@@ -440,19 +442,20 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
     x_init = wcm_estimate(honest, d)
     errs = relative_errors(x_init, anchors, d)
 
-    attackers = set(flags)
+    removed = []
     err = errs.tolist()
     while len(active) > 3:
         worst = max(active, key=lambda i: (err[i], -i))
         if err[worst] <= tau:
             break
-        attackers.add(worst)
+        removed.append(worst)
         active.discard(worst)
 
     return DetectionOutcome(
         x_init=x_init,
-        attacker_set=frozenset(attackers),
+        attacker_set=flags.union(removed),
         relative_errors=errs,
         honest=honest,
         geometric_flags=flags,
+        removed=tuple(removed),
     )

@@ -59,7 +59,10 @@ def _discriminant(ci: Circle, cj: Circle) -> tuple[float, float, float, float, f
     rsum = ci.r + cj.r
     rdiff = cj.r - ci.r
     k = (rsum * rsum - sep2) * (sep2 - rdiff * rdiff)
-    tol = _TANGENT_RTOL * rsum ** 4
+    try:
+        tol = _TANGENT_RTOL * rsum ** 4
+    except OverflowError:
+        raise ValueError(f"circles with radii summing to {rsum:g} m overflow the intersection test") from None
     return k, tol, sep2, dx, dy
 
 

@@ -208,7 +208,11 @@ def solve(s: GtrsSystem) -> GtrsSolution:
             if phi < 0.0:
                 step = max(step, abs(z0) / math.sqrt(b - t1) - s0)
             lam = step if lo < step < hi else 0.5 * (lo + hi)
+        if not converged:
+            raise NoRootError(f"constraint residual did not converge in {_MAX_ITER} evaluations")
         e0, e1 = z0 / (s0 + best_lam), z1 / (s1 + best_lam)
+    if not math.isfinite(best_phi):
+        raise NoRootError(f"constraint residual is not finite ({best_phi})")
 
     # x in the eigenbasis of S, rotated back and moved to the original frame.
     x0, x1 = cos_t * e1 - sin_t * e0, sin_t * e1 + cos_t * e0

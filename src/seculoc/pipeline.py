@@ -29,17 +29,17 @@ from .measurement import MeasurementSet
 class SecureLocResult:
     """Everything the secure pipeline decided for one measurement set.
 
-    ``x_init`` and ``detection`` are None when the geometric pre-filter
-    already reduced the network to 3 anchors and the clustering stage
-    never ran. ``chose_gtrs`` is True exactly when ``x_final`` is the
-    refined estimate; otherwise its solve failed and ``x_final`` is ``x_init``.
+    ``x_init`` is None when the geometric pre-filter already reduced the
+    network to 3 anchors and the clustering stage never ran; ``detection``
+    is set on both branches. ``chose_gtrs`` is True exactly when ``x_final``
+    is the refined estimate; otherwise its solve failed and ``x_final`` is ``x_init``.
     """
 
     x_final: np.ndarray
     x_init: np.ndarray | None
     attacker_set: frozenset[int]
     chose_gtrs: bool
-    detection: DetectionOutcome | None = None
+    detection: DetectionOutcome
 
 
 def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
@@ -78,7 +78,7 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
         x_init=x_init,
         attacker_set=attackers,
         chose_gtrs=x_gtrs is not None,
-        detection=None if x_init is None else outcome,
+        detection=outcome,
     )
 
 

@@ -73,6 +73,21 @@ class TestConfig:
         cfg = CampaignConfig(n_anchors=np.int64(5))
         assert type(cfg.n_anchors) is int and cfg.n_anchors == 5
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(region_side=2e50), dict(sigma=1e51), dict(delta_grid=(0.0, 1e60)),
+    ])
+    def test_rejects_lengths_above_1e50_m_naming_the_field(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=rf"^{name}\b.* at most 1e\+50 m"):
+            CampaignConfig(**kwargs)
+
+    def test_names_each_overflowing_field(self):
+        with pytest.raises(ValueError, match="region_side.*sigma.*delta_grid"):
+            CampaignConfig(region_side=1e80, sigma=1e80, delta_grid=(1e80,))
+
+    def test_accepts_lengths_of_1e50_m(self):
+        CampaignConfig(region_side=1e50, sigma=1e50, delta_grid=(0.0, 1e50))
+
     def test_unplaceable_region_names_the_reason(self):
         cfg = CampaignConfig(region_side=0.1, n_deployments=1, n_corruptions=1)
         with pytest.raises(ValueError, match=r"n_anchors=4 anchors, each at least 0\.5 m .* region_side=0\.1 m"):
@@ -121,6 +136,17 @@ class TestRunCampaign:
         assert prop.bound_trials > 0
         assert 0.0 <= prop.lp_d <= prop.up_d <= 1.0
         assert math.isnan(nod.lp_d)
+
+    def test_threshold_event_counts_are_pinned(self):
+        # Bound trials and threshold-first removals of the attacker, per delta,
+        # as the campaign counted them when it re-derived the event itself.
+        cfg = CampaignConfig(methods=("proposed",), delta_grid=(0.0, 2.0, 5.0, 10.0), k_samples=1,
+                             n_deployments=6, n_corruptions=5, seed=4)
+        pinned = {0.0: (104, 2), 2.0: (111, 0), 5.0: (105, 43), 10.0: (80, 44)}
+        for row in run_campaign(cfg).rows:
+            nb, hits = pinned[row.delta]
+            assert row.bound_trials == nb
+            assert row.threshold_detection_rate == hits / nb
 
     def test_deterministic_across_worker_counts(self):
         cfg = CampaignConfig(

@@ -180,14 +180,34 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--region-side", "0.1", "n_anchors=4 anchors, each at least 0.5 m from the target"),
-        # At FAST's seed the first infinite sample is caught before numpy warns of an overflow.
-        ("--sigma", "1e308", "samples must be finite"),
     ])
     def test_campaign_failing_on_its_config_exits_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.csv"
         assert run(["rmse", "--out", str(out), *FAST, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        # 1e160 and 1e78-1e80 used to raise OverflowError mid-run; 1e200 and
+        # 1e308 failed mid-run on non-finite samples or circles.
+        ("--sigma", "1e160", "sigma"),
+        ("--sigma", "1e308", "sigma"),
+        ("--region-side", "1e80", "region_side"),
+        ("--region-side", "1e200", "region_side"),
+        ("--delta-grid", "0,1e78", "delta_grid"),
+        ("--delta-grid", "1e308", "delta_grid"),
+    ])
+    def test_overflowing_length_exits_2(self, tmp_path, monkeypatch, capsys, flag, value, field):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran on an overflowing configuration")
+
+        monkeypatch.setattr(seculoc.cli, "run_campaign", no_campaign)
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--out", str(out), *FAST, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} ") and "at most 1e+50 m" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):

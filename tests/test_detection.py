@@ -881,6 +881,30 @@ class TestDetect:
         assert out.x_init is None
         assert out.relative_errors is None
         assert out.honest is None
+        assert out.removed == ()
+
+    def test_removals_follow_decreasing_relative_error(self):
+        rng = np.random.default_rng(12)
+        several = 0
+        for _ in range(200):
+            n = int(rng.integers(5, 9))
+            sc = random_scene(rng, n=n)
+            m = generate_measurements(sc, AttackSpec(frozenset({0, 1}), 8.0), 1.0, 1, rng)
+            try:
+                out = detect(sc.anchors, m.means, tau=0.1)
+            except UnlocalizableError:
+                continue
+            assert out.attacker_set == out.geometric_flags | set(out.removed)
+            assert not out.geometric_flags & set(out.removed)
+            err = out.relative_errors.tolist()
+            removed = [err[i] for i in out.removed]
+            assert removed == sorted(removed, reverse=True)
+            assert all(e > 0.1 for e in removed)
+            # Every anchor kept past the last removal scores no higher than it.
+            if removed:
+                assert all(err[i] <= removed[-1] for i in set(range(n)) - out.attacker_set)
+            several += len(removed) > 1
+        assert several > 20
 
     def test_honest_set_keeps_three_points_when_pairs_are_disjoint(self):
         # Circle 0 contains circles 1 and 3 and meets circle 2, so it is not

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seculoc.baseline import wls_locate
-from seculoc.errors import DegenerateGeometryError
+from seculoc.errors import DegenerateGeometryError, NoRootError
 from seculoc.gtrs import GtrsSystem, build_system, solve
 
 
@@ -299,3 +299,17 @@ class TestSolve:
         anchors, _, d = random_instance(rng)
         sol = solve(build_system(anchors, d))
         assert 1 <= sol.iterations <= 100
+
+    def test_overflowing_residual_raises_no_root(self):
+        # The README quick-start scene times 1e70: z^2 overflows, and the
+        # solve used to return its last iterate with a NaN residual.
+        anchors = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]]) * 1e70
+        d = np.linalg.norm(anchors - np.array([8.0, 11.0]) * 1e70, axis=1)
+        with pytest.raises(NoRootError, match="did not converge"):
+            solve(build_system(anchors, d))
+
+    def test_hard_case_with_infinite_right_hand_side_raises_no_root(self):
+        # z = 0 sends an infinite g_alpha down the hard case, which used to
+        # return x = (nan, inf) with a NaN residual.
+        with pytest.raises(NoRootError, match="not finite"):
+            solve(GtrsSystem(1.0, (0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0), math.inf))

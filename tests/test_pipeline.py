@@ -88,6 +88,9 @@ class TestLocateSecure:
         assert res.x_init is None
         assert res.chose_gtrs
         assert np.linalg.norm(res.x_final - TARGET) < 1e-6
+        # The pre-filter's outcome is kept, flag and all.
+        assert res.detection.geometric_flags == frozenset({2})
+        assert res.detection.x_init is None and res.detection.removed == ()
 
     def test_failed_refinement_falls_back_to_initial_estimate(self, monkeypatch):
         def no_root(system):
@@ -198,6 +201,33 @@ class TestLocateSecure:
     def test_rejects_anchors_that_are_not_n_by_2(self, entry, anchors):
         with pytest.raises(ValueError, match=r"anchors must be an \(N, 2\) array"):
             entry(anchors, noiseless())
+
+
+def scaled_quick_start(s):
+    """The README quick-start scene, coordinates and noiseless ranges times s."""
+    d = np.linalg.norm(ANCHORS * s - TARGET * s, axis=1)
+    return ANCHORS * s, MeasurementSet(samples=d[:, None], sigma=1.0)
+
+
+class TestCoordinateScale:
+    @pytest.mark.parametrize("s", [1e-50, 1.0, 1e50])
+    def test_exact_solve_up_to_1e50(self, s):
+        res = locate_secure(*scaled_quick_start(s), 0.3)
+        assert res.chose_gtrs
+        np.testing.assert_allclose(res.x_final / s, TARGET, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e55, 1e70])
+    def test_overflowing_solve_keeps_the_initial_estimate(self, s):
+        # At 1e70 the solve used to run out its evaluations on a NaN
+        # residual, and the pipeline kept that estimate, 1.27 s from the target.
+        res = locate_secure(*scaled_quick_start(s), 0.3)
+        assert not res.chose_gtrs and res.x_final is res.x_init
+        np.testing.assert_allclose(res.x_final / s, TARGET, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e77, 1e80])
+    def test_overflowing_intersection_test_raises_value_error(self, s):
+        with pytest.raises(ValueError, match="overflow the intersection test"):
+            locate_secure(*scaled_quick_start(s), 0.3)
 
 
 class TestBenchmarks:
