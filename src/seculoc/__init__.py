@@ -25,7 +25,7 @@ from .detection import (
     select_honest_points,
     wcm_estimate,
 )
-from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
+from .errors import DegenerateGeometryError, LocalizationError, NoRootError, UnlocalizableError
 from .geometry import Circle, CircleRelation, classify_pair, intersect_circles
 from .gtrs import GtrsSolution, GtrsSystem, build_system
 from .measurement import (
@@ -55,6 +55,7 @@ __all__ = [
     "GtrsSystem",
     "HonestSet",
     "IntersectionGraph",
+    "LocalizationError",
     "MeasurementSet",
     "MethodDeltaStats",
     "NoRootError",

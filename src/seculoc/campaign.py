@@ -32,7 +32,7 @@ import numpy as np
 
 from .baseline import glrt_detect, wls_locate
 from .bounds import detection_bounds
-from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
+from .errors import LocalizationError
 from .geometry import collinear_scatter, distances_to
 from .measurement import AttackSpec, Scene, generate_measurements, median_distance
 from .pipeline import locate_no_detection, locate_perfect_detection, locate_secure
@@ -265,7 +265,7 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
     """Run one method on one measurement set and fold results into a cell."""
     try:
         x_hat, detected, res = _METHODS[method](cfg, scene, attack_set, mset)
-    except (UnlocalizableError, DegenerateGeometryError, NoRootError):
+    except LocalizationError:
         cell[_EXCLUDED] += 1
         return
 
@@ -283,12 +283,12 @@ def _run_trial(cfg, scene, attack_set, delta, mset, method, cell):
         res is not None
         and cfg.attackers_per_trial == 1
         and res.x_init is not None
-        and not (attack_set & res.detection.geometric_flags)
+        and not (attack_set & res.geometric_flags)
     ):
         cell[_LPD1:_UPD + 1] += _trial_bounds(scene, attack_set, delta, res.x_init, mset, cfg.tau)
         cell[_NBOUNDS] += 1
         # The event the bounds describe: the threshold removes the attacker first.
-        cell[_THRESH_HITS] += res.detection.removed[:1] == tuple(attack_set)
+        cell[_THRESH_HITS] += res.removed[:1] == tuple(attack_set)
 
 
 def _deployment_partial(args: tuple[CampaignConfig, int]):

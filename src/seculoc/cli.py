@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import sys
+from decimal import Decimal
 
 from .campaign import CampaignConfig, emit_csv, run_campaign
 
@@ -37,7 +38,13 @@ _MAX_GRID = 10_000
 
 
 def _parse_delta_grid(text: str) -> tuple[float, ...]:
-    """Comma list of intensities; '...' continues the progression, e.g. 0,1,...,15."""
+    """Comma list of intensities; '...' continues the progression, e.g. 0,1,...,15.
+
+    The k-th continued value is the float of the exact decimal last + k * step,
+    with last and step read from the two values before '...' as written, so
+    0,0.1,...,1 gives the floats of the grid written out. The values below
+    the end are kept, then the end itself, even off the progression.
+    """
     values: list[float] = []
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     for pos, tok in enumerate(tokens):
@@ -47,16 +54,16 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
             try:
                 stop = float(tokens[pos + 1])
             except ValueError:
-                raise ValueError(f"bad delta grid {text!r}") from None
-            step = values[-1] - values[-2]
-            if step <= 0 or not values[-1] < stop < math.inf:
+                raise ValueError(f"bad delta grid {text!r}: {tokens[pos + 1]!r} is not a number") from None
+            if not -math.inf < values[-2] < values[-1] < stop < math.inf:
                 raise ValueError(f"bad delta grid {text!r}: progression must increase")
-            if len(values) + (stop - values[-1]) / step > _MAX_GRID:
+            first, last, end = (Decimal(t) for t in (tokens[pos - 2], tokens[pos - 1], tokens[pos + 1]))
+            step = last - first
+            # The continued values up to the first at or past the end.
+            count = math.ceil((end - last) / step)
+            if len(values) + count > _MAX_GRID:
                 raise ValueError(f"bad delta grid {text!r}: more than {_MAX_GRID} values")
-            nxt = values[-1] + step
-            while nxt < stop - 1e-9:
-                values.append(nxt)
-                nxt += step
+            values.extend(float(last + k * step) for k in range(1, count))
             values.append(stop)
             return tuple(values)
         try:

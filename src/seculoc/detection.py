@@ -77,18 +77,21 @@ class DetectionOutcome:
 
     ``relative_errors`` covers every input anchor (including one flagged on
     geometric grounds); ``removed`` holds the threshold's removals in order,
-    and ``attacker_set`` adds the geometric flag to them. When the geometric
-    flag alone shrinks the network to the minimum localizable size, the
-    clustering and thresholding stages are skipped: ``x_init``,
+    and the ``attacker_set`` property adds the geometric flag to them. When
+    the geometric flag alone shrinks the network to the minimum localizable
+    size, the clustering and thresholding stages are skipped: ``x_init``,
     ``relative_errors`` and ``honest`` are None and ``removed`` is empty.
     """
 
-    x_init: np.ndarray | None
-    attacker_set: frozenset[int]
-    relative_errors: np.ndarray | None
-    honest: HonestSet | None
     geometric_flags: frozenset[int]
     removed: tuple[int, ...] = ()
+    x_init: np.ndarray | None = None
+    relative_errors: np.ndarray | None = None
+    honest: HonestSet | None = None
+
+    @property
+    def attacker_set(self) -> frozenset[int]:
+        return self.geometric_flags.union(self.removed)
 
 
 def build_intersection_graph(anchors, d) -> IntersectionGraph:
@@ -423,13 +426,7 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
     active = set(range(len(d))) - flags
     if len(active) == 3:
         # The pre-filter alone fixed the verdict; nothing left to threshold.
-        return DetectionOutcome(
-            x_init=None,
-            attacker_set=flags,
-            relative_errors=None,
-            honest=None,
-            geometric_flags=flags,
-        )
+        return DetectionOutcome(flags)
 
     # The flagged anchor meets no circle, so every row of the graph joins
     # two active anchors and the other active pairs are the disjoint ones.
@@ -451,11 +448,4 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
         removed.append(worst)
         active.discard(worst)
 
-    return DetectionOutcome(
-        x_init=x_init,
-        attacker_set=flags.union(removed),
-        relative_errors=errs,
-        honest=honest,
-        geometric_flags=flags,
-        removed=tuple(removed),
-    )
+    return DetectionOutcome(flags, tuple(removed), x_init, errs, honest)

@@ -157,6 +157,12 @@ def solve(s: GtrsSystem) -> GtrsSolution:
         return zz0 / (r0 * r0) + zz1 / (r1 * r1) - (g_alpha + 0.5 * lam) * inv_w
 
     lo = -s0 * (1.0 - 1e-9)
+    margin = s0 + lo
+    if margin * margin == 0.0:
+        # From a coordinate scale of about 1e-78 down, the pole term's
+        # squared denominator underflows to 0 at the left end, where phi
+        # then cannot be evaluated.
+        raise NoRootError(f"the bracket's left end underflows: (s0 + lam)^2 is 0 at s0 = {s0:g}")
     if phi_at(lo) < 0.0:
         # Hard case: z0 = 0 (or so small that the root lies within the
         # bracket's margin of the pole), so the multiplier is -s0 and x is free

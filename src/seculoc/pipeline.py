@@ -20,26 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectionOutcome, _detect_from_graph, build_intersection_graph
-from .errors import DegenerateGeometryError, NoRootError, UnlocalizableError
+from .errors import LocalizationError, UnlocalizableError
 from .gtrs import build_system, solve
 from .measurement import MeasurementSet
 
 
-@dataclass
-class SecureLocResult:
-    """Everything the secure pipeline decided for one measurement set.
+@dataclass(kw_only=True)
+class SecureLocResult(DetectionOutcome):
+    """The detection outcome of one measurement set, with its refined estimate.
 
-    ``x_init`` is None when the geometric pre-filter already reduced the
-    network to 3 anchors and the clustering stage never ran; ``detection``
-    is set on both branches. ``chose_gtrs`` is True exactly when ``x_final``
-    is the refined estimate; otherwise its solve failed and ``x_final`` is ``x_init``.
+    ``chose_gtrs`` is True exactly when ``x_final`` is the refined estimate.
+    Otherwise its solve failed and ``x_final`` is ``x_init``; on the
+    pre-filter branch, where ``x_init`` is None, a failed solve raises.
     """
 
     x_final: np.ndarray
-    x_init: np.ndarray | None
-    attacker_set: frozenset[int]
     chose_gtrs: bool
-    detection: DetectionOutcome
 
 
 def _gtrs_estimate(anchors, d, indices) -> np.ndarray:
@@ -61,25 +57,13 @@ def locate_secure(anchors, m: MeasurementSet, tau: float) -> SecureLocResult:
     d = m.means
     graph = build_intersection_graph(anchors, d)
     outcome = _detect_from_graph(anchors, d, tau, graph)
-    attackers = outcome.attacker_set
-    survivors = sorted(set(range(anchors.shape[0])) - attackers)
-
-    # x_init is None when the pre-filter alone left 3 anchors and the
-    # clustering stage never ran.
-    x_init = outcome.x_init
     try:
-        x_gtrs = _gtrs_estimate(anchors, d, survivors)
-    except (DegenerateGeometryError, NoRootError):
-        if x_init is None:
+        x_gtrs = _gtrs_estimate(anchors, d, set(range(anchors.shape[0])) - outcome.attacker_set)
+    except LocalizationError:
+        if outcome.x_init is None:
             raise
-        x_gtrs = None
-    return SecureLocResult(
-        x_final=x_init if x_gtrs is None else x_gtrs,
-        x_init=x_init,
-        attacker_set=attackers,
-        chose_gtrs=x_gtrs is not None,
-        detection=outcome,
-    )
+        return SecureLocResult(**vars(outcome), x_final=outcome.x_init, chose_gtrs=False)
+    return SecureLocResult(**vars(outcome), x_final=x_gtrs, chose_gtrs=True)
 
 
 def locate_no_detection(anchors, m: MeasurementSet) -> np.ndarray:

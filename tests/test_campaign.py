@@ -41,6 +41,8 @@ class TestConfig:
             dict(attackers_per_trial=2, n_anchors=4),
             dict(k_samples=0),
             dict(seed=-1),
+            dict(n_deployments=0),
+            dict(n_corruptions=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -104,6 +106,10 @@ class TestRunCampaign:
             ("proposed", 0.0), ("proposed", 15.0),
             ("no_detection", 0.0), ("no_detection", 15.0),
         ]
+        assert stats.get("no_detection", 15.0) is stats.rows[3]
+        for method, delta in (("wls_glrt", 0.0), ("proposed", 5.0)):
+            with pytest.raises(KeyError, match=f"no row for {method!r} at delta={delta}"):
+                stats.get(method, delta)
 
     def test_trial_accounting(self):
         cfg = CampaignConfig(methods=("proposed", "no_detection"), delta_grid=(0.0, 10.0), **TINY)

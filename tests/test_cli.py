@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import seculoc.cli
-from seculoc.campaign import METHOD_NAMES, CampaignConfig
+from seculoc.campaign import METHOD_NAMES, CampaignConfig, CampaignStats
 from seculoc.cli import _build_config, _parser, main
 
 FAST = ["--n-deployments", "3", "--n-corruptions", "2", "--seed", "5"]
@@ -119,12 +119,27 @@ class TestConfigHandling:
     def test_bad_delta_grid_exits_2(self, tmp_path):
         assert run(["rmse", "--delta-grid", "a,b", "--out", str(tmp_path / "x.csv"), *FAST]) == 2
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0,1,...,x", "'x' is not a number"),
+        (",", "delta grid must contain at least one value"),
+    ], ids=["non-number-end", "empty"])
+    def test_bad_delta_grid_names_the_problem(self, tmp_path, capsys, grid, message):
+        assert run(["rmse", "--delta-grid", grid, "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        assert message in capsys.readouterr().err
+
     def test_delta_grid_progression_shorthand(self):
         from seculoc.cli import _parse_delta_grid
 
         assert _parse_delta_grid("0,1,...,15") == tuple(float(v) for v in range(16))
         assert _parse_delta_grid("2,4,...,14") == (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
         assert _parse_delta_grid("0,5,10,15") == (0.0, 5.0, 10.0, 15.0)
+        # An end off the progression is still appended.
+        assert _parse_delta_grid("0,5,...,12") == (0.0, 5.0, 10.0, 12.0)
+        # Decimal steps give the floats of the grid written out: the running
+        # float sum gave 0.30000000000000004 and 0.7999999999999999, and a
+        # fixed 1e-9 slack stopped the second grid after its first step.
+        assert _parse_delta_grid("0,0.1,...,1") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert _parse_delta_grid("0,1e-10,...,1e-9") == tuple(float(f"{k}e-10") for k in range(10)) + (1e-9,)
         with pytest.raises(ValueError):
             _parse_delta_grid("0,...,15")
         with pytest.raises(ValueError):
@@ -154,6 +169,22 @@ class TestConfigHandling:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["rmse", "--config", str(tmp_path / "nope.ini"), *FAST]) == 2
+
+    def test_config_file_without_campaign_section_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[other]\nsigma = 2.0\n")
+        assert run(["rmse", "--config", str(ini), "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        assert "needs a [campaign] section" in capsys.readouterr().err
+
+    def test_csv_failing_after_the_campaign_exits_3(self, tmp_path, monkeypatch, capsys):
+        def no_room(stats, path):
+            raise OSError(f"cannot write campaign CSV to {path}: disk full")
+
+        monkeypatch.setattr(seculoc.cli, "run_campaign", lambda cfg, threads: CampaignStats())
+        monkeypatch.setattr(seculoc.cli, "emit_csv", no_room)
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--out", str(out), *FAST]) == 3
+        assert capsys.readouterr().err == f"cannot write campaign CSV to {out}: disk full\n"
 
     def test_unwritable_out_exits_3(self, tmp_path):
         out = tmp_path / "no_dir" / "x.csv"

@@ -62,6 +62,11 @@ class TestBuildIntersectionGraph:
         g = build_intersection_graph(SQUARE, d)
         assert g.geometric_flags == frozenset({1})
 
+    @pytest.mark.parametrize("d", [np.ones(3), np.ones(5), np.ones((4, 1))], ids=["3", "5", "4x1"])
+    def test_rejects_wrong_distance_count(self, d):
+        with pytest.raises(ValueError, match="one distance per anchor required"):
+            build_intersection_graph(SQUARE, d)
+
     def test_pair_in_exactly_one_bucket(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -313,3 +313,37 @@ class TestSolve:
         # return x = (nan, inf) with a NaN residual.
         with pytest.raises(NoRootError, match="not finite"):
             solve(GtrsSystem(1.0, (0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0), math.inf))
+
+    @pytest.mark.parametrize("s", [1e-78, 1e-80, 1e-81])
+    def test_underflowing_left_end_raises_no_root(self, s):
+        # The README quick-start scene times s: (s0 + lam)^2 and z0^2 both
+        # underflow at the bracket's left end, which used to raise a bare
+        # ZeroDivisionError.
+        anchors = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]]) * s
+        d = np.linalg.norm(anchors - np.array([8.0, 11.0]) * s, axis=1)
+        with pytest.raises(NoRootError, match="underflows"):
+            solve(build_system(anchors, d))
+
+    @pytest.mark.parametrize("scatter", [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 1.0)],
+                             ids=["singular", "zero", "indefinite"])
+    def test_non_positive_definite_scatter_rejected(self, scatter):
+        system = GtrsSystem(1.0, (0.0, 0.0), scatter, (1.0, 1.0), 1.0)
+        with pytest.raises(DegenerateGeometryError, match="not positive definite"):
+            solve(system)
+
+
+class TestBuildSystemValidation:
+    @pytest.mark.parametrize("anchors", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 2, 1))],
+                             ids=["4", "4x3", "4x2x1"])
+    def test_rejects_anchors_that_are_not_n_by_2(self, anchors):
+        with pytest.raises(ValueError, match=r"anchors must be an \(N, 2\) array"):
+            build_system(anchors, np.ones(4))
+
+    def test_rejects_fewer_than_three_anchors(self):
+        with pytest.raises(DegenerateGeometryError, match="at least 3 anchors"):
+            build_system([(0.0, 0.0), (4.0, 0.0)], [1.0, 1.0])
+
+    @pytest.mark.parametrize("d", [np.ones(3), np.ones(5), np.ones((4, 1))], ids=["3", "5", "4x1"])
+    def test_rejects_wrong_distance_count(self, d):
+        with pytest.raises(ValueError, match="one distance per anchor"):
+            build_system([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0), (4.0, 4.0)], d)

@@ -41,6 +41,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             Scene(target=TARGET, anchors=bad)
 
+    @pytest.mark.parametrize("target", [[1.0, 2.0, 3.0], [[9.0, 10.0]], 5.0], ids=["3", "1x2", "scalar"])
+    def test_scene_rejects_target_that_is_not_a_planar_point(self, target):
+        with pytest.raises(ValueError, match="target must be a planar point"):
+            Scene(target=target, anchors=ANCHORS)
+
+    @pytest.mark.parametrize("anchors", [np.ones(8), np.ones((4, 3)), np.ones((4, 2, 1))], ids=["8", "4x3", "4x2x1"])
+    def test_scene_rejects_anchors_that_are_not_n_by_2(self, anchors):
+        with pytest.raises(ValueError, match=r"anchors must be an \(N, 2\) array"):
+            Scene(target=TARGET, anchors=anchors)
+
     def test_attack_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             AttackSpec(frozenset({1}), -0.5)
@@ -71,6 +81,13 @@ class TestTypes:
             MeasurementSet(samples=np.ones((4, 1)), sigma=0.0)
         with pytest.raises(ValueError):
             MeasurementSet(samples=np.ones(4), sigma=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_measurement_set_rejects_non_finite_samples(self, bad):
+        samples = np.ones((4, 3))
+        samples[2, 1] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            MeasurementSet(samples=samples, sigma=1.0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_measurement_set_rejects_non_finite_sigma(self, sigma):
@@ -109,6 +126,16 @@ class TestGenerate:
         sc = Scene(target=[10.0, 10.0], anchors=[[10.0, 10.6], [1, 1], [19, 1], [10, 19]])
         m = generate_measurements(sc, AttackSpec(), 50.0, 200, np.random.default_rng(1))
         assert (m.samples > 0).all()
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            generate_measurements(make_scene(), AttackSpec(), sigma, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k_samples", [0, -3])
+    def test_rejects_bad_k_samples(self, k_samples):
+        with pytest.raises(ValueError, match="at least one sample per anchor"):
+            generate_measurements(make_scene(), AttackSpec(), 1.0, k_samples, np.random.default_rng(0))
 
     def test_rejects_out_of_range_attacker(self):
         with pytest.raises(ValueError, match="corrupted"):

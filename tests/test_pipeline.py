@@ -7,7 +7,7 @@ import pytest
 
 import seculoc.pipeline
 from seculoc.baseline import estimate_attack_intensity, glrt_detect, wls_locate
-from seculoc.detection import build_intersection_graph, relative_errors
+from seculoc.detection import DetectionOutcome, build_intersection_graph, detect, relative_errors
 from seculoc.errors import NoRootError, UnlocalizableError
 from seculoc.gtrs import build_system
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
@@ -89,8 +89,38 @@ class TestLocateSecure:
         assert res.chose_gtrs
         assert np.linalg.norm(res.x_final - TARGET) < 1e-6
         # The pre-filter's outcome is kept, flag and all.
-        assert res.detection.geometric_flags == frozenset({2})
-        assert res.detection.x_init is None and res.detection.removed == ()
+        assert res.geometric_flags == frozenset({2})
+        assert res.removed == ()
+
+    def test_result_is_the_detection_outcome_of_the_means(self):
+        # locate_secure's inherited fields are detect()'s outcome on the same
+        # means, on both branches, and the attacker set is derived from them.
+        rng = np.random.default_rng(21)
+        branches = {True: 0, False: 0}
+        for _ in range(300):
+            n = int(rng.integers(4, 9))
+            sc = random_scene(rng, n=n)
+            att = frozenset(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist())
+            m = generate_measurements(sc, AttackSpec(att, float(rng.choice([0.0, 8.0, 60.0]))), 1.0, 3, rng)
+            try:
+                res = locate_secure(sc.anchors, m, 0.3)
+            except UnlocalizableError:
+                continue
+            out = detect(sc.anchors, m.means, 0.3)
+            assert isinstance(res, DetectionOutcome)
+            assert res.geometric_flags == out.geometric_flags and res.removed == out.removed
+            for name in ("x_init", "relative_errors"):
+                got, want = getattr(res, name), getattr(out, name)
+                assert got is None if want is None else np.array_equal(got, want)
+            if out.honest is None:
+                assert res.honest is None
+            else:
+                assert res.honest.pairs == out.honest.pairs
+                np.testing.assert_array_equal(res.honest.points, out.honest.points)
+            assert res.attacker_set == out.attacker_set == res.geometric_flags | set(res.removed)
+            branches[res.x_init is None] += 1
+        # Both the pre-filter branch and the full detection stage ran.
+        assert branches[True] > 10 and branches[False] > 100
 
     def test_failed_refinement_falls_back_to_initial_estimate(self, monkeypatch):
         def no_root(system):
@@ -210,7 +240,7 @@ def scaled_quick_start(s):
 
 
 class TestCoordinateScale:
-    @pytest.mark.parametrize("s", [1e-50, 1.0, 1e50])
+    @pytest.mark.parametrize("s", [1e-52, 1e-50, 1.0, 1e50])
     def test_exact_solve_up_to_1e50(self, s):
         res = locate_secure(*scaled_quick_start(s), 0.3)
         assert res.chose_gtrs
@@ -223,6 +253,13 @@ class TestCoordinateScale:
         res = locate_secure(*scaled_quick_start(s), 0.3)
         assert not res.chose_gtrs and res.x_final is res.x_init
         np.testing.assert_allclose(res.x_final / s, TARGET, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-78, 1e-80, 1e-81, 1e-82])
+    def test_underflowing_solve_keeps_the_initial_estimate(self, s):
+        # From 1e-78 to 1e-81 the solve used to raise a bare ZeroDivisionError
+        # at its bracket's left end; at 1e-82 build_system calls the anchors collinear.
+        res = locate_secure(*scaled_quick_start(s), 0.3)
+        assert not res.chose_gtrs and res.x_final is res.x_init
 
     @pytest.mark.parametrize("s", [1e77, 1e80])
     def test_overflowing_intersection_test_raises_value_error(self, s):
