@@ -12,6 +12,7 @@ and only approximate at the estimated position.
 from __future__ import annotations
 
 import math
+import operator
 from statistics import NormalDist
 
 import numpy as np
@@ -60,13 +61,14 @@ def glrt_threshold(p_fa: float, sigma: float, k_samples: int) -> float:
 
     Equals sigma * Qinv(p_fa) / sqrt(K): the mean residual of an honest
     anchor has std sigma/sqrt(K), so exceeding the threshold under the
-    no-attack hypothesis happens with probability p_fa.
+    no-attack hypothesis happens with probability p_fa. A K that is not an
+    integer raises TypeError; numpy integers are accepted.
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie strictly inside (0, 1)")
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    if k_samples < 1:
+    if operator.index(k_samples) < 1:
         raise ValueError("need at least one sample per anchor")
     return sigma * NormalDist().inv_cdf(1.0 - p_fa) / math.sqrt(k_samples)
 

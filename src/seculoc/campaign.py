@@ -25,8 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -112,15 +114,30 @@ class CampaignConfig:
     p_fa: float = field(default=0.05, metadata={"help": "GLRT false-alarm target"})
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_grid", tuple(float(v) for v in self.delta_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        # A field with an int default holds an int; numpy integers become ints.
+        # A string is a sequence too, of one-letter methods or digit intensities.
+        for name in ("delta_grid", "methods"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a sequence, not {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not all(isinstance(v, Real) for v in self.delta_grid):
+            raise ValueError(f"delta_grid values must be real numbers, got {self.delta_grid!r}")
+        if not all(isinstance(m, str) for m in self.methods):
+            raise ValueError(f"methods must be names, got {self.methods!r}")
+        object.__setattr__(self, "delta_grid", tuple(map(float, self.delta_grid)))
+        # A field with an int default holds an int, and one with a float
+        # default a float; numpy numbers become Python ones.
         for f in fields(self):
+            value = getattr(self, f.name)
             if type(f.default) is int:
                 try:
-                    object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
+                    object.__setattr__(self, f.name, operator.index(value))
                 except TypeError:
-                    raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}") from None
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
+            elif type(f.default) is float:
+                if not isinstance(value, Real):
+                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
         problems = []
         if not (math.isfinite(self.region_side) and self.region_side > 0):
             problems.append("region_side must be positive and finite")
@@ -241,8 +258,7 @@ def _sample_deployment(cfg: CampaignConfig, dep: int) -> tuple[Scene, int]:
         target = rng.uniform(0.0, side, 2)
         anchors = rng.uniform(0.0, side, (cfg.n_anchors, 2))
         if not _degenerate(target, anchors):
-            scene = Scene(target=target, anchors=anchors, region=(0.0, 0.0, side, side))
-            return scene, attempt
+            return Scene(target=target, anchors=anchors), attempt
     raise ValueError(
         f"deployment {dep}: 1000 draws placed no layout of n_anchors={cfg.n_anchors} anchors, "
         f"each at least {_MIN_ANCHOR_TARGET_GAP} m from the target and not all collinear, "

@@ -32,7 +32,6 @@ _SUBCOMMANDS = {
                 {"methods": ("proposed", "wls_glrt"), "k_samples": 10}),
 }
 
-_FULL_SCALE = {"n_deployments": 500, "n_corruptions": 100}
 # A longer '...' progression is refused before it is expanded.
 _MAX_GRID = 10_000
 
@@ -91,7 +90,8 @@ def _parse_field(name: str, raw):
 
 
 def _read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    # Values are read as written: a '%' is not an interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -104,7 +104,10 @@ def _read_config_file(path: str) -> dict:
     for key, raw in parser["campaign"].items():
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r} in {path!r}")
-        values[key] = _parse_field(key, raw)
+        try:
+            values[key] = _parse_field(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r} in {path!r}: {exc}") from None
     return values
 
 
@@ -117,8 +120,6 @@ def _add_campaign_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--config", help="INI file with a [campaign] section supplying defaults")
     sp.add_argument("--out", help="CSV output path (default <subcommand>.csv)")
     sp.add_argument("--threads", type=int, default=1, help="worker processes (results are identical)")
-    sp.add_argument("--full-scale", action="store_true",
-                    help="run 500 deployments x 100 repeats instead of the desk-scale defaults")
 
 
 def _build_config(command: str, args: argparse.Namespace) -> CampaignConfig:
@@ -126,15 +127,10 @@ def _build_config(command: str, args: argparse.Namespace) -> CampaignConfig:
     values.update(_SUBCOMMANDS[command][1])
     if args.config:
         values.update(_read_config_file(args.config))
-    if args.full_scale:
-        values.update(_FULL_SCALE)
     for name in _DEFAULTS:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = _parse_field(name, flag)
-    if command == "bounds" and values["k_samples"] != 1:
-        print("bounds campaigns force k_samples=1 to match the analytic regime", file=sys.stderr)
-        values["k_samples"] = 1
     return CampaignConfig(**values)
 
 

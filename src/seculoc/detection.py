@@ -154,6 +154,11 @@ def _coord_key(points: np.ndarray) -> tuple:
     return tuple(sorted(map(tuple, np.round(points, 12))))
 
 
+def _tie_key(flat: np.ndarray, sel: list[int]) -> tuple:
+    """The selector's one tie rule: sorted rounded coordinates, then pairs, then signs."""
+    return _coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]
+
+
 # A node closes in one array step when scoring its completions gathers at
 # most this many distances: C(open slots, r) choices of r points with
 # C(r, 2) distances each. 1680 = C(16, 3) * 3, three points from up to 8
@@ -196,14 +201,14 @@ def _coincident_choice(flat: np.ndarray, size: int) -> list[int]:
 
     A choice costs exactly zero when its points coincide, so the candidates
     are grouped by exact coordinates. Within a group the smallest ``size``
-    pairs win, each by its smaller sign at that point; across groups the
-    sorted rounded coordinates decide, then the pairs, then the signs.
+    pairs win, each by its smaller sign at that point; across groups
+    ``_tie_key`` decides.
     """
     groups: dict[tuple[float, float], dict[int, int]] = {}
     for c, point in enumerate(map(tuple, flat.tolist())):
         groups.setdefault(point, {}).setdefault(c // 2, c)
     choices = [list(by_pair.values())[:size] for by_pair in groups.values() if len(by_pair) >= size]
-    return min(choices, key=lambda sel: (_coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]))
+    return min(choices, key=lambda sel: _tie_key(flat, sel))
 
 
 def _root_pass(dist: np.ndarray, size: int):
@@ -277,8 +282,7 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     The search keeps the caller's indices: the root pass only narrows the
     open slots, and each leaf is the sorted tuple of its candidates.
     Survivors are re-scored by one gather-and-sum in that order and exact
-    ties broken on the sorted coordinates, then on (pairs, signs) in
-    lexicographic order. A cost of exactly zero, which nothing beats,
+    ties broken by ``_tie_key``. A cost of exactly zero, which nothing beats,
     stops the search: its ties are the candidates of ``size`` pairs that
     share one exact point, and ``_coincident_choice`` applies the same tie
     rule to them over every candidate.
@@ -333,9 +337,8 @@ def _most_compact(flat: np.ndarray, dist: np.ndarray, size: int) -> list[int]:
     idx = np.array(near)
     iu, jv = _upper(size)
     comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)
-    ties = idx[comp == comp.min()]
-    chosen = min(ties, key=lambda sel: (_coord_key(flat[sel]), (sel // 2).tolist(), (sel % 2).tolist()))
-    return chosen.tolist()
+    ties = idx[comp == comp.min()].tolist()
+    return min(ties, key=lambda sel: _tie_key(flat, sel))
 
 
 def select_honest_points(graph: IntersectionGraph, target_size: int) -> HonestSet:

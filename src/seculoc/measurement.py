@@ -16,11 +16,10 @@ _DISTANCE_FLOOR = 1e-6
 
 @dataclass
 class Scene:
-    """True target position plus anchor layout inside a rectangular region."""
+    """True target position plus anchor layout, anywhere in the plane."""
 
     target: np.ndarray
     anchors: np.ndarray
-    region: tuple[float, float, float, float] = (0.0, 0.0, 20.0, 20.0)
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
@@ -34,13 +33,6 @@ class Scene:
         pts = np.vstack([self.target[None, :], self.anchors])
         if not np.isfinite(pts).all():
             raise ValueError("scene coordinates must be finite")
-        xmin, ymin, xmax, ymax = self.region
-        inside = (
-            (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
-            & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-        )
-        if not inside.all():
-            raise ValueError("all scene points must lie inside the region")
 
     @property
     def n_anchors(self) -> int:
@@ -127,10 +119,15 @@ def median_distance(d) -> float:
     """Sample median; for even lengths, the mean of the two middle values.
 
     Sorted as a Python list: on a handful of values that is a fraction of
-    ``np.median``'s fixed cost, and the value is the same bit for bit.
+    ``np.median``'s fixed cost, and on finite values the value is the same
+    bit for bit. Raises ValueError for an empty input, and for a non-finite
+    one: a NaN leaves the sorted order, and so the answer, to its position.
     """
-    s = sorted(np.asarray(d, dtype=float).ravel().tolist())
+    s = np.asarray(d, dtype=float).ravel().tolist()
     if not s:
         raise ValueError("median of an empty distance list")
+    if not all(map(math.isfinite, s)):
+        raise ValueError("distances must be finite to take their median")
+    s.sort()
     mid = len(s) // 2
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2

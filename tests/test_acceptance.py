@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing PASS/FAIL.
 
 Campaign-backed criteria share desk-scale runs (100 deployments x 20 noise
-repeats per attacker assignment); the full-scale operating point remains
-reachable through the CLI's --full-scale flag but is not gated here.
+repeats per attacker assignment). The paper's full scale, 500 deployments
+x 100 repeats, is `--n-deployments 500 --n-corruptions 100` on the CLI and
+is not gated here.
 """
 
 import math
@@ -36,7 +37,7 @@ def random_scene(rng, n=4, side=20.0):
             continue
         if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
             continue
-        return Scene(target=t, anchors=a, region=(0, 0, side, side))
+        return Scene(target=t, anchors=a)
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,15 @@ class TestGlrtThreshold:
         with pytest.raises(ValueError, match="at least one sample"):
             glrt_threshold(0.05, 1.0, 0)
 
+    @pytest.mark.parametrize("k_samples", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_k(self, k_samples):
+        # 2.5 used to give sigma * Qinv(p_fa) / sqrt(2.5).
+        with pytest.raises(TypeError):
+            glrt_threshold(0.05, 1.0, k_samples)
+
+    def test_accepts_numpy_integer_k(self):
+        assert glrt_threshold(0.05, 1.0, np.int64(4)) == glrt_threshold(0.05, 1.0, 4)
+
 
 class TestGlrtDetect:
     def test_benign_noiseless_empty(self):

@@ -71,6 +71,29 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 CampaignConfig(**{name: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # '15' ran delta in {1.0, 5.0}, and 'wls_glrt' named eight unknown
+        # one-letter methods; the others raised a bare TypeError.
+        (dict(delta_grid="15"), "delta_grid must be a sequence"),
+        (dict(methods="wls_glrt"), "methods must be a sequence"),
+        (dict(delta_grid=5.0), "delta_grid must be a sequence"),
+        (dict(delta_grid=("0", "5")), "delta_grid values must be real numbers"),
+        (dict(methods=[["proposed"]]), "methods must be names"),
+        (dict(sigma="1"), "sigma must be a real number"),
+        (dict(region_side="20"), "region_side must be a real number"),
+        (dict(tau="0.3"), "tau must be a real number"),
+        (dict(p_fa=None), "p_fa must be a real number"),
+    ])
+    def test_rejects_strings_and_non_numbers_naming_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**kwargs)
+
+    def test_keeps_numpy_numbers_as_python_numbers(self):
+        cfg = CampaignConfig(sigma=np.float32(0.5), tau=1, delta_grid=np.array([0, 5]))
+        assert type(cfg.sigma) is float and cfg.sigma == 0.5
+        assert type(cfg.tau) is float and cfg.tau == 1.0
+        assert cfg.delta_grid == (0.0, 5.0) and all(type(v) is float for v in cfg.delta_grid)
+
     def test_keeps_numpy_integer_count_as_int(self):
         cfg = CampaignConfig(n_anchors=np.int64(5))
         assert type(cfg.n_anchors) is int and cfg.n_anchors == 5

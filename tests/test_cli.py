@@ -47,7 +47,6 @@ class Args:
     config = None
     out = None
     threads = 1
-    full_scale = False
 
     def __init__(self, **flags):
         self.__dict__.update(flags)
@@ -73,11 +72,18 @@ class TestSubcommands:
         assert run(["detection", "--delta-grid", "15", *FAST]) == 0
         assert (tmp_path / "detection.csv").exists()
 
-    def test_bounds_forces_single_sample(self, tmp_path, capsys):
+    def test_bounds_presets_single_sample(self, tmp_path, capsys):
+        # The preset's K = 1 gives way to an INI value or a flag, as every
+        # preset does; it used to replace both, with a note on stderr.
+        ini = tmp_path / "c.ini"
+        ini.write_text("[campaign]\nk_samples = 5\n")
+        assert _build_config("bounds", Args()).k_samples == 1
+        assert _build_config("bounds", Args(k_samples=5)).k_samples == 5
+        assert _build_config("bounds", Args(config=str(ini))).k_samples == 5
         out = tmp_path / "b.csv"
         code = run(["bounds", "--delta-grid", "8", "--k-samples", "5", "--out", str(out), *FAST])
         assert code == 0
-        assert "force" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
         with open(out, newline="") as fh:
             row = list(csv.DictReader(fh))[0]
         assert float(row["up_d"]) >= 0.0
@@ -250,11 +256,6 @@ class TestConfigHandling:
         assert cfg.sigma == 0.5         # flag wins over file
         assert cfg.delta_grid == (1.0, 2.0)
 
-    def test_full_scale_counts(self):
-        cfg = _build_config("rmse", Args(full_scale=True))
-        assert cfg.n_deployments == 500
-        assert cfg.n_corruptions == 100
-
     def test_every_field_from_ini_and_flag(self, tmp_path):
         assert set(FIELD_TEXT) == {f.name for f in dataclasses.fields(CampaignConfig)}
         ini = tmp_path / "c.ini"
@@ -292,6 +293,29 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and str(ini) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("methods = proposed%", "unknown methods ['proposed%']"),
+        ("seed = %(x)s", "config key 'seed'"),
+    ], ids=["percent", "interpolation"])
+    def test_config_values_are_read_as_written(self, tmp_path, capsys, line, message):
+        # A '%' used to be an interpolation, and both lines ended in a
+        # configparser traceback with exit 1.
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[campaign]\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--config", str(ini), "--out", str(out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["seed = abc", "sigma = one", "delta_grid = 0,x"])
+    def test_unparsable_config_value_names_its_key_and_file(self, tmp_path, capsys, line):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[campaign]\n{line}\n")
+        assert run(["rmse", "--config", str(ini), "--out", str(tmp_path / "x.csv"), *FAST]) == 2
+        key = line.split(" = ")[0]
+        assert f"config key {key!r} in {str(ini)!r}: " in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

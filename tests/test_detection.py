@@ -46,7 +46,7 @@ def random_scene(rng, n=4, side=20.0):
             continue
         if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
             continue
-        return Scene(target=t, anchors=a, region=(0, 0, side, side))
+        return Scene(target=t, anchors=a)
 
 
 class TestBuildIntersectionGraph:

@@ -27,10 +27,6 @@ class TestTypes:
         sc = make_scene()
         np.testing.assert_allclose(sc.true_distances(), np.linalg.norm(ANCHORS - TARGET, axis=1))
 
-    def test_scene_rejects_point_outside_region(self):
-        with pytest.raises(ValueError, match="region"):
-            Scene(target=[25.0, 5.0], anchors=ANCHORS)
-
     def test_scene_rejects_too_few_anchors(self):
         with pytest.raises(ValueError, match="4 anchors"):
             Scene(target=TARGET, anchors=ANCHORS[:3])
@@ -230,3 +226,13 @@ class TestReductions:
                 assert got == float(np.median(d))
         with pytest.raises(ValueError):
             median_distance(np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_median_rejects_non_finite_at_every_position(self, bad, position):
+        # With a NaN the sort depended on its position: [nan, 1, 0.5],
+        # [1, nan, 0.5] and [0.5, 1, nan] gave 0.5, nan and 1.0.
+        d = [1.0, 0.5]
+        d.insert(position, bad)
+        with pytest.raises(ValueError, match="distances must be finite"):
+            median_distance(d)

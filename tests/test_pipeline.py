@@ -33,7 +33,7 @@ def random_scene(rng, n=4, side=20.0):
             continue
         if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
             continue
-        return Scene(target=t, anchors=a, region=(0, 0, side, side))
+        return Scene(target=t, anchors=a)
 
 
 class TestAttackIntensity:
@@ -260,6 +260,21 @@ class TestCoordinateScale:
         # at its bracket's left end; at 1e-82 build_system calls the anchors collinear.
         res = locate_secure(*scaled_quick_start(s), 0.3)
         assert not res.chose_gtrs and res.x_final is res.x_init
+
+    def test_moved_and_scaled_scene(self):
+        # A Scene used to refuse any point outside a 20 m box that no stage
+        # read, so this layout could not be built at all.
+        def move(p):
+            return (p - 5000.0) * 1000.0
+
+        results = []
+        for f, s in ((lambda p: p, 1.0), (move, 1000.0)):
+            sc = Scene(target=f(TARGET), anchors=f(ANCHORS))
+            m = generate_measurements(sc, AttackSpec(frozenset({2}), 9.0 * s), 0.3 * s, 10, np.random.default_rng(7))
+            results.append(locate_secure(sc.anchors, m, 0.3))
+        plain, moved = results
+        assert moved.chose_gtrs and moved.attacker_set == plain.attacker_set == {2}
+        np.testing.assert_allclose(moved.x_final, move(plain.x_final), rtol=0, atol=1e-3)
 
     @pytest.mark.parametrize("s", [1e77, 1e80])
     def test_overflowing_intersection_test_raises_value_error(self, s):
