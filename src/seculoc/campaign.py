@@ -27,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -52,11 +52,11 @@ _MIN_ANCHOR_TARGET_GAP = 0.5
 _MAX_LENGTH = 1e50
 
 # Accumulator field layout per (method, delta) cell.
-(
+_CELL = (
     _SQERR, _OK, _EXCLUDED, _HITS, _FAS,
     _LPD1, _LPD2, _LPD, _UPD, _NBOUNDS, _THRESH_HITS,
 ) = range(11)
-_N_FIELDS = 11
+_N_FIELDS = len(_CELL)
 
 
 # One function per method: (cfg, scene, attack_set, mset) -> (position, flagged
@@ -186,6 +186,7 @@ class CampaignConfig:
 class MethodDeltaStats:
     """Aggregates for one (method, attack intensity) cell.
 
+    The fields up to ``excluded_trials`` are the CSV row, in column order.
     ``threshold_detection_rate`` and ``bound_trials`` describe the
     sub-population of trials whose thresholding stage ran with the attacker
     in play; the analytic bound columns average over exactly that
@@ -360,10 +361,18 @@ def _finalize(cfg: CampaignConfig, acc: np.ndarray) -> list[MethodDeltaStats]:
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignStats:
     """Execute a campaign; identical results for any worker count.
 
+    ``threads`` is the number of worker processes, an integer of at least 1.
+
     Per-deployment partial sums are folded in deployment order, so the
     floating-point reduction is the same whether trials run inline or on a
     process pool.
     """
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise ValueError(f"threads must be an integer, got {threads!r}") from None
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = [(cfg, dep) for dep in range(cfg.n_deployments)]
     # A worker without a deployment would only cost a fork.
     workers = min(threads, cfg.n_deployments)
@@ -382,9 +391,10 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignStats:
     return CampaignStats(rows=_finalize(cfg, total), resampled_deployments=resamples)
 
 
-_CSV_HEADER = (
-    "method,delta_m,rmse_m,detection_rate,false_alarm_rate,"
-    "lpd1,lpd2,lp_d,up_d,trials,excluded_trials"
+# One column per leading MethodDeltaStats field, in field order.
+_CSV_COLUMNS = (
+    "method", "delta_m", "rmse_m", "detection_rate", "false_alarm_rate",
+    "lpd1", "lpd2", "lp_d", "up_d", "trials", "excluded_trials",
 )
 
 
@@ -396,17 +406,9 @@ def _fmt(value) -> str:
 
 def emit_csv(stats: CampaignStats, path) -> None:
     """Write one row per (method, delta): UTF-8, LF endings, 9 significant digits."""
-    lines = [_CSV_HEADER]
+    lines = [",".join(_CSV_COLUMNS)]
     for r in stats.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.method, r.delta, r.rmse, r.detection_rate, r.false_alarm_rate,
-                    r.lpd1, r.lpd2, r.lp_d, r.up_d, r.trials, r.excluded_trials,
-                )
-            )
-        )
+        lines.append(",".join(map(_fmt, astuple(r)[:len(_CSV_COLUMNS)])))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

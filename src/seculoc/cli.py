@@ -17,19 +17,17 @@ from decimal import Decimal
 
 from .campaign import CampaignConfig, emit_csv, run_campaign
 
-# Subcommand -> (description, preset campaign values).
+# Subcommand -> (description, the campaign values it changes from the defaults).
 _SUBCOMMANDS = {
     "rmse": ("localization error of the secure pipeline and its benchmarks",
-             {"methods": ("proposed", "no_detection", "perfect_detection"), "k_samples": 10}),
-    "detection": ("attacker detection and false-alarm rates of the secure pipeline",
-                  {"methods": ("proposed",), "k_samples": 10}),
+             {"methods": ("proposed", "no_detection", "perfect_detection")}),
+    "detection": ("attacker detection and false-alarm rates of the secure pipeline", {}),
     "bounds": ("empirical detection probability against the analytic bounds (single sample)",
-               {"methods": ("proposed",), "k_samples": 1}),
+               {"k_samples": 1}),
     "two-attackers": ("six-anchor campaign with every anchor pair corrupted in turn",
-                      {"methods": ("proposed", "wls_glrt"), "n_anchors": 6,
-                       "attackers_per_trial": 2, "k_samples": 10}),
+                      {"methods": ("proposed", "wls_glrt"), "n_anchors": 6, "attackers_per_trial": 2}),
     "compare": ("secure pipeline head to head with the WLS+GLRT baseline",
-                {"methods": ("proposed", "wls_glrt"), "k_samples": 10}),
+                {"methods": ("proposed", "wls_glrt")}),
 }
 
 # A longer '...' progression is refused before it is expanded.
@@ -84,9 +82,12 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
 _PARSERS = {"delta_grid": _parse_delta_grid, "methods": _parse_methods}
 
 
-def _parse_field(name: str, raw):
-    """Campaign value of field ``name`` from its INI text or flag value."""
-    return _PARSERS.get(name, type(_DEFAULTS[name]))(raw)
+def _parse_field(name: str, raw: str, source: str):
+    """Campaign value of field ``name`` from its INI or flag text; an error names ``source``."""
+    try:
+        return _PARSERS.get(name, type(_DEFAULTS[name]))(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -104,19 +105,17 @@ def _read_config_file(path: str) -> dict:
     for key, raw in parser["campaign"].items():
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r} in {path!r}")
-        try:
-            values[key] = _parse_field(key, raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r} in {path!r}: {exc}") from None
+        values[key] = _parse_field(key, raw, f"config key {key!r} in {path!r}")
     return values
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_campaign_flags(sp: argparse.ArgumentParser):
     for f in dataclasses.fields(CampaignConfig):
-        # _build_config parses grids and method lists, so a bad one is a
-        # configuration error rather than an argparse usage error.
-        kind = None if f.name in _PARSERS else type(f.default)
-        sp.add_argument("--" + f.name.replace("_", "-"), type=kind, help=f.metadata["help"])
+        sp.add_argument(_flag(f.name), help=f.metadata["help"])
     sp.add_argument("--config", help="INI file with a [campaign] section supplying defaults")
     sp.add_argument("--out", help="CSV output path (default <subcommand>.csv)")
     sp.add_argument("--threads", type=int, default=1, help="worker processes (results are identical)")
@@ -128,9 +127,9 @@ def _build_config(command: str, args: argparse.Namespace) -> CampaignConfig:
     if args.config:
         values.update(_read_config_file(args.config))
     for name in _DEFAULTS:
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = _parse_field(name, flag)
+        raw = getattr(args, name)
+        if raw is not None:
+            values[name] = _parse_field(name, raw, _flag(name))
     return CampaignConfig(**values)
 
 
@@ -168,10 +167,11 @@ def main(argv=None) -> int:
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             print(f"cannot write campaign CSV to {out}: {parent} is not a writable directory", file=sys.stderr)
             return 3
-        stats = run_campaign(cfg, threads=max(1, args.threads))
+        stats = run_campaign(cfg, threads=args.threads)
     except ValueError as exc:
-        # Construction checks every field; a region too small to place the
-        # anchors, or values whose samples overflow, fail only mid-run.
+        # Construction checks every field and run_campaign the worker count;
+        # a region too small to place the anchors, or values whose samples
+        # overflow, fail only mid-run.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -150,13 +150,10 @@ def _candidate_distances(pts: np.ndarray):
     return flat, dist
 
 
-def _coord_key(points: np.ndarray) -> tuple:
-    return tuple(sorted(map(tuple, np.round(points, 12))))
-
-
 def _tie_key(flat: np.ndarray, sel: list[int]) -> tuple:
     """The selector's one tie rule: sorted rounded coordinates, then pairs, then signs."""
-    return _coord_key(flat[sel]), [c // 2 for c in sel], [c % 2 for c in sel]
+    coords = tuple(sorted(map(tuple, np.round(flat[sel], 12))))
+    return coords, [c // 2 for c in sel], [c % 2 for c in sel]
 
 
 # A node closes in one array step when scoring its completions gathers at
@@ -442,13 +439,8 @@ def _detect_from_graph(anchors, d, tau, graph) -> DetectionOutcome:
     x_init = wcm_estimate(honest, d)
     errs = relative_errors(x_init, anchors, d)
 
-    removed = []
+    # Largest error first, an exact tie to the lower index; at least 3 stay.
     err = errs.tolist()
-    while len(active) > 3:
-        worst = max(active, key=lambda i: (err[i], -i))
-        if err[worst] <= tau:
-            break
-        removed.append(worst)
-        active.discard(worst)
-
-    return DetectionOutcome(flags, tuple(removed), x_init, errs, honest)
+    order = sorted(active, key=lambda i: (-err[i], i))[:len(active) - 3]
+    removed = tuple(itertools.takewhile(lambda i: err[i] > tau, order))
+    return DetectionOutcome(flags, removed, x_init, errs, honest)

@@ -17,8 +17,10 @@ from seculoc.bounds import detection_bounds, prob_abs_less
 from seculoc.baseline import glrt_detect
 from seculoc.campaign import CampaignConfig, emit_csv, run_campaign
 from seculoc.gtrs import build_system, solve
-from seculoc.measurement import AttackSpec, Scene, generate_measurements
+from seculoc.measurement import AttackSpec, generate_measurements
 from seculoc.pipeline import locate_secure
+
+from helpers import random_scene
 
 DESK = dict(n_deployments=100, n_corruptions=20)
 _WORKERS = min(4, os.cpu_count() or 1)
@@ -27,17 +29,6 @@ _WORKERS = min(4, os.cpu_count() or 1)
 def report(num, name, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def random_scene(rng, n=4, side=20.0):
-    while True:
-        t = rng.uniform(0, side, 2)
-        a = rng.uniform(0, side, (n, 2))
-        if np.linalg.norm(a - t, axis=1).min() < 0.5:
-            continue
-        if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
-            continue
-        return Scene(target=t, anchors=a)
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,10 @@ from seculoc.errors import DegenerateGeometryError
 from seculoc.geometry import distances_to
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 
+from helpers import q_erfc
+
 ANCHORS = np.array([[0.0, 0.0], [16.0, 1.0], [2.0, 15.0], [15.0, 16.0]])
 TARGET = np.array([7.0, 9.0])
-
-
-def q_erfc(z):
-    # The Gaussian upper tail Q(z) from math.erfc.
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def q_inverse_bisect(p):

@@ -16,10 +16,7 @@ from seculoc.bounds import (
     prob_abs_less,
 )
 
-
-def q_erfc(z):
-    # Oracle: the Gaussian upper tail Q(z) from math.erfc.
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+from helpers import q_erfc
 
 
 def q_quadrature(z):

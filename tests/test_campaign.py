@@ -215,6 +215,21 @@ class TestRunCampaign:
         assert asked == ([] if workers is None else [workers])
         assert stats.rows == run_campaign(cfg, threads=1).rows
 
+    @pytest.mark.parametrize("threads, message", [
+        (0, "threads must be at least 1, got 0"),
+        (-1, "threads must be at least 1, got -1"),
+        (2.5, "threads must be an integer, got 2.5"),
+        ("2", "threads must be an integer, got '2'"),
+    ], ids=["zero", "negative", "float", "text"])
+    def test_threads_must_be_an_integer_of_at_least_one(self, monkeypatch, threads, message):
+        def no_deployment(job):
+            raise AssertionError("a deployment ran with an invalid worker count")
+
+        monkeypatch.setattr(campaign, "_deployment_partial", no_deployment)
+        with pytest.raises(ValueError) as exc:
+            run_campaign(CampaignConfig(**TINY), threads=threads)
+        assert str(exc.value) == message
+
     def test_methods_call_entry_points_through_module_globals(self, monkeypatch):
         import seculoc.campaign as campaign
 

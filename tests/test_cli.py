@@ -317,6 +317,21 @@ class TestConfigHandling:
         key = line.split(" = ")[0]
         assert f"config key {key!r} in {str(ini)!r}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--n-anchors", "4.5")])
+    def test_unparsable_flag_value_names_its_flag(self, tmp_path, capsys, flag, value):
+        # A flag value parses as an INI value does, after argparse.
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--out", str(out), *FAST, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag}: invalid literal for int()")
+        assert not out.exists()
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["rmse", "--out", str(out), *FAST, "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "configuration error: threads must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run([])

@@ -3,6 +3,7 @@
 Demos and Python examples run; each `seculoc` command line parses into a campaign configuration.
 """
 
+import dataclasses
 import os
 import re
 import shlex
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from seculoc.campaign import CampaignConfig
 from seculoc.cli import _build_config, _parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,3 +63,8 @@ def test_readme_cli_example_parses(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = _parser().parse_args(shlex.split(line, comments=True)[1:])
     _build_config(args.command, args)
+
+
+def test_readme_names_every_campaign_knob_in_order():
+    sentence = re.search(r"The knobs are (.*?)\.\s", README, flags=re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == [f.name for f in dataclasses.fields(CampaignConfig)]

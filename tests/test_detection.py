@@ -23,7 +23,9 @@ from seculoc.detection import (
 )
 from seculoc.errors import UnlocalizableError
 from seculoc.geometry import Circle, CircleRelation, classify_pair, intersect_circles
-from seculoc.measurement import AttackSpec, Scene, generate_measurements, median_distance
+from seculoc.measurement import AttackSpec, generate_measurements, median_distance
+
+from helpers import random_scene
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 CENTER = np.array([0.5, 0.5])
@@ -36,17 +38,6 @@ def square_distances():
 def pairwise_distance_sum(points):
     """Oracle: the sum of the distances between every two of the points."""
     return sum(math.dist(p, q) for p, q in itertools.combinations(np.asarray(points).tolist(), 2))
-
-
-def random_scene(rng, n=4, side=20.0):
-    while True:
-        t = rng.uniform(0, side, 2)
-        a = rng.uniform(0, side, (n, 2))
-        if np.linalg.norm(a - t, axis=1).min() < 0.5:
-            continue
-        if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
-            continue
-        return Scene(target=t, anchors=a)
 
 
 class TestBuildIntersectionGraph:
@@ -522,7 +513,9 @@ def reference_most_compact(flat, dist, size):
     iu, jv = np.triu_indices(size, 1)
     comp = dist[idx[:, iu], idx[:, jv]].sum(axis=-1)
     ties = idx[comp == comp.min()]
-    chosen = min(ties, key=lambda sel: (detection._coord_key(flat[sel]), (sel // 2).tolist(), (sel % 2).tolist()))
+    # Sorted coordinates rounded to 12 decimals, then pairs, then signs.
+    chosen = min(ties, key=lambda sel: (
+        tuple(sorted(map(tuple, np.round(flat[sel], 12)))), (sel // 2).tolist(), (sel % 2).tolist()))
     return chosen.tolist()
 
 
@@ -910,6 +903,24 @@ class TestDetect:
                 assert all(err[i] <= removed[-1] for i in set(range(n)) - out.attacker_set)
             several += len(removed) > 1
         assert several > 20
+
+    @pytest.mark.parametrize("errs, tau, removed", [
+        ([0.5, 0.5, 0.2, 0.9, 0.5], 0.3, (3, 0)),
+        ([0.5, 0.5, 0.2, 0.9, 0.5], 0.6, (3,)),
+        ([0.5, 0.5, 0.2, 0.9, 0.5], 0.95, ()),
+        ([0.5, 0.5, 0.2, 0.9, 0.5, 0.1], 0.3, (3, 0, 1)),
+    ], ids=["capped", "one-above", "none-above", "six-anchors"])
+    def test_threshold_breaks_ties_to_the_lower_index_and_keeps_three(self, monkeypatch, errs, tau, removed):
+        # Anchors 0, 1 and 4 tie exactly: the lower index goes first, and
+        # removal stops with three anchors left while errors above tau remain.
+        n = len(errs)
+        angle = 2 * np.pi * np.arange(n) / n
+        anchors = np.column_stack([10 + 8 * np.cos(angle), 10 + 8 * np.sin(angle)])
+        d = np.linalg.norm(anchors - [9.0, 11.0], axis=1)
+        monkeypatch.setattr(detection, "relative_errors", lambda x_est, anchors, d: np.array(errs))
+        out = detect(anchors, d, tau)
+        assert out.geometric_flags == frozenset()
+        assert out.removed == removed
 
     def test_honest_set_keeps_three_points_when_pairs_are_disjoint(self):
         # Circle 0 contains circles 1 and 3 and meets circle 2, so it is not

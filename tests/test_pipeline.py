@@ -13,6 +13,8 @@ from seculoc.gtrs import build_system
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 from seculoc.pipeline import locate_no_detection, locate_perfect_detection, locate_secure
 
+from helpers import random_scene
+
 ANCHORS = np.array([[1.0, 1.0], [18.0, 2.0], [3.0, 17.0], [16.0, 15.0]])
 TARGET = np.array([8.0, 11.0])
 
@@ -23,17 +25,6 @@ def scene():
 
 def noiseless(attack=AttackSpec(), k=1):
     return generate_measurements(scene(), attack, 1e-13, k, np.random.default_rng(0))
-
-
-def random_scene(rng, n=4, side=20.0):
-    while True:
-        t = rng.uniform(0, side, 2)
-        a = rng.uniform(0, side, (n, 2))
-        if np.linalg.norm(a - t, axis=1).min() < 0.5:
-            continue
-        if np.linalg.svd(a - a.mean(0), compute_uv=False)[1] <= 1e-6:
-            continue
-        return Scene(target=t, anchors=a)
 
 
 class TestAttackIntensity:

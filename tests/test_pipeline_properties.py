@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seculoc.errors import DegenerateGeometryError, NoRootError, UnlocalizableError
+from seculoc.errors import LocalizationError
 from seculoc.measurement import AttackSpec, MeasurementSet, Scene, generate_measurements
 from seculoc.pipeline import locate_secure
 
@@ -40,7 +40,7 @@ def _locate(anchors, m):
     """(x_final, attackers) or the error class the call raised."""
     try:
         res = locate_secure(anchors, m, TAU)
-    except (UnlocalizableError, DegenerateGeometryError, NoRootError) as exc:
+    except LocalizationError as exc:
         return type(exc)
     return res.x_final, res.attacker_set
 
